@@ -15,7 +15,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import DstInstance, EdgeId, LayeredInstance, PathRecord, trace_path
+from .instance import (
+    DstInstance,
+    EdgeId,
+    LayeredInstance,
+    PathRecord,
+    reachable,
+    trace_path,
+)
 
 MAX_TERMINALS = 16
 
@@ -155,18 +162,6 @@ def enumerate_paths(
     return [trace_path(graph, edges) for edges in found]
 
 
-def _connects(adj: dict[str, list[str]], root: str, terminals: tuple[str, ...]) -> bool:
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return all(s in seen for s in terminals)
-
-
 def enumerate_integral_solutions(
     layered: LayeredInstance, cap: int = 200_000
 ) -> list[tuple[frozenset[EdgeId], Fraction]]:
@@ -178,6 +173,7 @@ def enumerate_integral_solutions(
     deduplicated and sorted by (cost, edges).
     """
     graph = layered.graph
+    terminals = set(graph.terminals)
     per_terminal = [enumerate_paths(layered, s, cap=cap) for s in graph.terminals]
     combos = 1
     for paths in per_terminal:
@@ -191,19 +187,10 @@ def enumerate_integral_solutions(
         union: set[EdgeId] = set()
         for path in pick:
             union.update(path.edges)
-        adj: dict[str, list[str]] = {}
-        for tail, head in union:
-            adj.setdefault(tail, []).append(head)
-        minimal = True
-        for edge in union:
-            adj[edge[0]].remove(edge[1])
-            if _connects(adj, graph.root, graph.terminals):
-                minimal = False
-            adj[edge[0]].append(edge[1])
-            if not minimal:
-                break
-        if not minimal:
-            continue
+        if any(
+            terminals <= reachable([graph.root], union - {edge}) for edge in union
+        ):
+            continue  # some edge is removable
         frozen = frozenset(union)
         if frozen in seen:
             continue

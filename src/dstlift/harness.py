@@ -179,13 +179,16 @@ def _plain_key(key) -> str:
     return str(key)
 
 
+# Solver output is certified at this tolerance and rounded once per seed,
+# each time with the default repetition count.
+CERTIFY_TOL = 1.0e-5
+ROUNDING_SEEDS = (0, 1, 2)
+
+
 @dataclass
 class PipelineConfig:
     solver: lasserre.SolverConfig | None = None
-    certify_tol: float = 1.0e-5
     budget: int | None = None
-    rounding_seeds: tuple[int, ...] = (0, 1, 2)
-    reps: int | None = None
     do_round: bool = True
 
     def __post_init__(self):
@@ -240,7 +243,7 @@ def run_pipeline(
         sdp.vector,
         level,
         cs.rows,
-        cfg.certify_tol,
+        CERTIFY_TOL,
     )
 
     opt_layered = stage("exact", exact.exact_opt, layered.graph)
@@ -272,9 +275,9 @@ def run_pipeline(
     if cfg.do_round:
         oracle = rounding.VectorOracle(sdp.vector, vmap)
         rounds = []
-        for seed in cfg.rounding_seeds:
+        for seed in ROUNDING_SEEDS:
             result = stage(
-                "rounding", rounding.round_solution, oracle, layered, cfg.reps, seed
+                "rounding", rounding.round_solution, oracle, layered, None, seed
             )
             mapped = stage("map-back", _map_back_cost, layered, result)
             rounds.append(

@@ -144,22 +144,24 @@ def make_instance(
         root=root,
         terminals=tuple(sorted(term_set)),
     )
-    reached = reachable_from(inst, root)
-    missing = term_set - reached
+    missing = term_set - reachable([root], (edge for edge, _ in inst.edges))
     if missing:
         raise InstanceError(f"terminals unreachable from root: {sorted(missing)}")
     return inst
 
 
-def reachable_from(inst: DstInstance, start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
+def reachable(starts: Iterable[str], edges: Iterable[EdgeId]) -> set[str]:
+    """Nodes reachable from `starts` along the directed `edges`, starts included."""
+    adj: dict[str, list[str]] = {}
+    for tail, head in edges:
+        adj.setdefault(tail, []).append(head)
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        for _, head in inst.out_edges[v]:
-            if head not in seen:
-                seen.add(head)
-                stack.append(head)
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return seen
 
 
@@ -419,26 +421,9 @@ def _prune_useless(
     edges: list[tuple[str, str, Fraction]],
     root: str,
 ) -> tuple[set[str], set[EdgeId]]:
-    forward: dict[str, list[str]] = {}
-    backward: dict[str, list[str]] = {}
-    for tail, head, _ in edges:
-        forward.setdefault(tail, []).append(head)
-        backward.setdefault(head, []).append(tail)
-
-    def reach(starts: Iterable[str], adj: dict[str, list[str]]) -> set[str]:
-        seen = set(starts)
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    from_root = reach([root], forward)
-    to_terminal = reach(layer_names[-1], backward)
-    alive = from_root & to_terminal
+    forward = [(tail, head) for tail, head, _ in edges]
+    backward = [(head, tail) for tail, head in forward]
+    alive = reachable([root], forward) & reachable(layer_names[-1], backward)
     keep_edges = {
         (tail, head) for tail, head, _ in edges if tail in alive and head in alive
     }
@@ -499,18 +484,7 @@ def map_back(layered: LayeredInstance, edges: Iterable[EdgeId]) -> set[EdgeId]:
     for edge in chosen:
         if edge not in layered.expansion:
             raise InstanceError(f"edge {edge!r} is not in the layered graph")
-    seen = {layered.graph.root}
-    stack = [layered.graph.root]
-    adj: dict[str, list[str]] = {}
-    for tail, head in chosen:
-        adj.setdefault(tail, []).append(head)
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    unreached = set(layered.graph.terminals) - seen
+    unreached = set(layered.graph.terminals) - reachable([layered.graph.root], chosen)
     if unreached:
         raise InstanceError(f"layered solution misses terminals {sorted(unreached)}")
     base_edges: set[EdgeId] = set()
@@ -528,18 +502,5 @@ def verify_solution(
     feasible, so callers can report both.
     """
     chosen = set(edges)
-    cost = Fraction(0)
-    adj: dict[str, list[str]] = {}
-    for edge in chosen:
-        cost += inst.cost(edge)
-        adj.setdefault(edge[0], []).append(edge[1])
-    seen = {inst.root}
-    stack = [inst.root]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    feasible = all(s in seen for s in inst.terminals)
-    return feasible, cost
+    cost = sum((inst.cost(edge) for edge in chosen), Fraction(0))
+    return set(inst.terminals) <= reachable([inst.root], chosen), cost

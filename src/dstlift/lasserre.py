@@ -5,7 +5,10 @@ one free value per nonempty variable subset of size at most 2t+2, the main
 moment matrix over subsets of size at most t+1, and one shifted matrix per
 row over subsets of size at most t, all required positive semidefinite, with
 the empty set pinned to one.  Equalities arrive as opposite row pairs and
-force their shifted matrices to vanish.
+force their shifted matrices to vanish.  One slot-map builder lays out every
+block as a linear map of the free values; the main block is the shift by the
+trivial row `0.x >= -1`.  This is a symbolic route of its own, kept apart
+from `moments.shift` so that the two can check each other.
 
 `solve` runs consensus ADMM with over-relaxation: a sparse SPD solve for the
 subset values, eigenvalue projections for the cone blocks (row blocks share a
@@ -90,6 +93,40 @@ class SdpProblem:
     objective: np.ndarray = field(repr=False)
 
 
+def _slot_map(
+    rows: list[tuple[list[tuple[int, float]], float]],
+    masks: list[int],
+    col_of: dict[int, int],
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Slot maps of the shifted moment matrices M(g * y) over `masks`.
+
+    Each row is `(support, rhs)` for `sum a_v x_v >= rhs`; its block is laid
+    out row-major after the previous ones.  Slot (I, J) holds
+    `sum a_v y(I + J + v) - rhs * y(I + J)`: terms on free subsets go to the
+    sparse map, the term on the empty set (pinned to one) to the constant.
+    """
+    size = len(masks) ** 2
+    C = np.zeros(len(rows) * size)
+    data, rows_ix, cols_ix = [], [], []
+    for b, (support, rhs) in enumerate(rows):
+        unions = (mi | mj for mi in masks for mj in masks)
+        for slot, base in enumerate(unions, start=b * size):
+            if base == 0:
+                C[slot] += -rhs
+            else:
+                rows_ix.append(slot)
+                cols_ix.append(col_of[base])
+                data.append(-rhs)
+            for v, a in support:
+                rows_ix.append(slot)
+                cols_ix.append(col_of[base | (1 << v)])
+                data.append(a)
+    L = sp.coo_matrix(
+        (data, (rows_ix, cols_ix)), shape=(len(rows) * size, len(col_of))
+    ).tocsr()
+    return L, C
+
+
 def assemble(
     cs: ConstraintSystem, level: int, budget: int | None = None
 ) -> SdpProblem:
@@ -118,54 +155,19 @@ def assemble(
     col_of = {mask_of(s): i for i, s in enumerate(free_sets)}
     n_free = len(free_sets)
 
-    sets1 = subsets_upto(n, min(level + 1, n))
-    masks1 = [mask_of(s) for s in sets1]
-    d1 = len(sets1)
-    C_main = np.zeros((d1, d1))
-    data, rows_ix, cols_ix = [], [], []
-    for i, mi in enumerate(masks1):
-        for j, mj in enumerate(masks1):
-            key = mi | mj
-            if key == 0:
-                C_main[i, j] += 1.0
-            else:
-                rows_ix.append(i * d1 + j)
-                cols_ix.append(col_of[key])
-                data.append(1.0)
-    L_main = sp.coo_matrix(
-        (data, (rows_ix, cols_ix)), shape=(d1 * d1, n_free)
-    ).tocsr()
-
-    sets0 = subsets_upto(n, min(level, n))
-    masks0 = [mask_of(s) for s in sets0]
-    d0 = len(sets0)
-    n_blocks = len(cs.rows)
-    C_rows = np.zeros(n_blocks * d0 * d0)
-    data, rows_ix, cols_ix = [], [], []
-    labels = []
-    for b, row in enumerate(cs.rows):
-        labels.append(row.label)
-        support = [(i, float(a)) for i, a in row.support()]
-        rhs = float(row.rhs)
-        base_slot = b * d0 * d0
-        for i, mi in enumerate(masks0):
-            for j, mj in enumerate(masks0):
-                base = mi | mj
-                slot = base_slot + i * d0 + j
-                if base == 0:
-                    C_rows[slot] += -rhs
-                else:
-                    rows_ix.append(slot)
-                    cols_ix.append(col_of[base])
-                    data.append(-rhs)
-                for v, a in support:
-                    key = base | (1 << v)
-                    rows_ix.append(slot)
-                    cols_ix.append(col_of[key])
-                    data.append(a)
-    L_rows = sp.coo_matrix(
-        (data, (rows_ix, cols_ix)), shape=(n_blocks * d0 * d0, n_free)
-    ).tocsr()
+    # The main block is the shift by the trivial row 0.x >= -1.
+    masks1 = [mask_of(s) for s in subsets_upto(n, min(level + 1, n))]
+    L_main, C_main = _slot_map([([], -1.0)], masks1, col_of)
+    masks0 = [mask_of(s) for s in subsets_upto(n, min(level, n))]
+    L_rows, C_rows = _slot_map(
+        [
+            ([(i, float(a)) for i, a in row.support()], float(row.rhs))
+            for row in cs.rows
+        ],
+        masks0,
+        col_of,
+    )
+    d1, d0 = len(masks1), len(masks0)
 
     objective = np.zeros(n_free)
     for i, c in enumerate(cs.objective):
@@ -178,23 +180,26 @@ def assemble(
         col_of=col_of,
         main_dim=d1,
         row_dim=d0,
-        n_row_blocks=n_blocks,
-        row_labels=tuple(labels),
+        n_row_blocks=len(cs.rows),
+        row_labels=tuple(row.label for row in cs.rows),
         L_main=L_main,
-        C_main=C_main,
+        C_main=C_main.reshape(d1, d1),
         L_rows=L_rows,
         C_rows=C_rows,
         objective=objective,
     )
 
 
+# ADMM starts at penalty RHO_START and rebalances it every 100 iterations;
+# OVER_RELAX is the over-relaxation factor of the cone updates.
+RHO_START = 2.0
+OVER_RELAX = 1.6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 20000
     tol: float = 1.0e-7
-    rho: float = 2.0
-    over_relax: float = 1.6
-    adapt_rho: bool = True
     check_every: int = 25
 
 
@@ -288,8 +293,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     zR = np.zeros((nblk, d0, d0))
     uM = np.zeros_like(zM)
     uR = np.zeros_like(zR)
-    rho = cfg.rho
-    alpha = cfg.over_relax
+    rho = RHO_START
     total_slots = d1 * d1 + nblk * d0 * d0
 
     it = 0
@@ -304,8 +308,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         x = solve_gram(rhs)
         axM = np.asarray(LM @ x).reshape(d1, d1) + CM
         axR = np.asarray(LR @ x).reshape(nblk, d0, d0) + CR
-        hM = alpha * axM + (1.0 - alpha) * zM
-        hR = alpha * axR + (1.0 - alpha) * zR
+        hM = OVER_RELAX * axM + (1.0 - OVER_RELAX) * zM
+        hR = OVER_RELAX * axR + (1.0 - OVER_RELAX) * zR
         zM_new = _project_psd(hM + uM)
         zR_new = _project_psd_batch(hR + uR)
         uM = uM + hM - zM_new
@@ -334,11 +338,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 zM, zR = zM_new, zR_new
                 converged = True
                 break
-            if (
-                cfg.adapt_rho
-                and it % 100 == 0
-                and it < 0.8 * cfg.max_iter
-            ):
+            if it % 100 == 0 and it < 0.8 * cfg.max_iter:
                 if r_norm > 10.0 * s_norm and rho < 1.0e6:
                     rho *= 2.0
                     uM /= 2.0

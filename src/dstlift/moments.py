@@ -8,6 +8,10 @@ masses, the induction-friendly decomposition into smaller-level vectors, and
 a certifier that checks positive semidefiniteness plus the order and
 propagation laws a lifted relaxation must satisfy.
 
+`shift` and `moment_matrix` are the one evaluator of shifted moment
+matrices: the certifier builds the block of row g as
+`moment_matrix(shift(g, y), level)`.
+
 Rational entries are handled exactly (including exact PSD via pivoted Schur
 elimination); float entries go through numpy with explicit tolerances.
 """
@@ -227,17 +231,19 @@ def shift(
         conv = Fraction
     else:
         conv = float
+    neg_rhs = -conv(rhs)
+    support = [(1 << i, conv(a)) for i, a in support]
     out: dict[IndexSet, Value] = {}
     for key, base in y.entries.items():
         mask = mask_of(key)
-        total = -conv(rhs) * conv(base)
+        total = neg_rhs * conv(base)
         ok = True
-        for i, a in support:
-            hit = me.get(mask | (1 << i))
+        for bit, a in support:
+            hit = me.get(mask | bit)
             if hit is None:
                 ok = False
                 break
-            total += conv(a) * conv(hit)
+            total += a * conv(hit)
         if ok:
             out[key] = total
     return MomentVector(y.n_vars, y.level, out, exact=exact)
@@ -269,6 +275,15 @@ def _domain_minus(y: MomentVector, s_mask: int) -> list[IndexSet]:
     return out
 
 
+def _signed_subsets(items: Sequence[int]) -> list[tuple[int, int]]:
+    """(mask, (-1)^|H|) for every subset H of `items`: inclusion-exclusion terms."""
+    return [
+        (mask_of(combo), -1 if r % 2 else 1)
+        for r in range(len(items) + 1)
+        for combo in itertools.combinations(items, r)
+    ]
+
+
 def condition(
     y: MomentVector, ones: Iterable[int], scope: Iterable[int]
 ) -> MomentVector:
@@ -287,11 +302,7 @@ def condition(
         raise DomainError("conditioning domain is empty")
     me = y.mask_entries()
     x_mask = mask_of(x_set)
-    rest = [i for i in s_set if i not in x_set]
-    terms: list[tuple[int, int]] = []  # (mask over rest, sign)
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            terms.append((mask_of(combo), -1 if r % 2 else 1))
+    terms = _signed_subsets([i for i in s_set if i not in x_set])
     zero = ZERO if y.exact else 0.0
     out: dict[IndexSet, Value] = {}
     for key in dom:
@@ -530,11 +541,7 @@ def decompose(
     for k in range(len(s_set) + 1):
         for ones in itertools.combinations(s_set, k):
             x_mask = mask_of(ones)
-            rest = [i for i in s_set if i not in ones]
-            terms = []
-            for r in range(len(rest) + 1):
-                for combo in itertools.combinations(rest, r):
-                    terms.append((mask_of(combo), -1 if r % 2 else 1))
+            terms = _signed_subsets([i for i in s_set if i not in ones])
 
             def masked_sum(base: int) -> Value:
                 total = zero
@@ -632,6 +639,12 @@ def _psd_violation_float(
     return None
 
 
+# One-propagation is spot-checked: the first SPOT_ONES sets whose moment is
+# one, each against the first SPOT_OTHER sets of the main matrix.
+SPOT_ONES = 50
+SPOT_OTHER = 200
+
+
 @dataclass(frozen=True)
 class CertifyIssue:
     kind: str
@@ -652,8 +665,6 @@ def certify(
     level: int,
     rows: Iterable = (),
     tol: float = 0.0,
-    spot_ones: int = 50,
-    spot_other: int = 200,
 ) -> CertifyReport:
     """Check hierarchy membership at `level` plus structural consequences.
 
@@ -676,41 +687,21 @@ def certify(
     if norm_gap > eps:
         issues.append(CertifyIssue("normalization", "empty set", norm_gap))
 
-    main = moment_matrix(y, min(level + 1, n))
-    checks["psd_main"] = 1
-    if exact:
-        bad = _psd_violation_exact(main.grid)
-    else:
-        bad = _psd_violation_float(main.grid, tol)
-    if bad is not None:
-        issues.append(CertifyIssue("psd", f"main matrix: {bad[0]}", bad[1]))
-
-    sets_small = subsets_upto(n, min(level, n))
-    masks_small = [mask_of(s) for s in sets_small]
-    me = y.mask_entries()
-    n_rows = 0
-    for row in rows:
-        n_rows += 1
-        support = row.support()
-        grid = []
-        for mi in masks_small:
-            line = []
-            for mj in masks_small:
-                base = mi | mj
-                total = -row.rhs * me[base] if exact else -float(row.rhs) * me[base]
-                for i, a in support:
-                    v = me[base | (1 << i)]
-                    total = total + a * v if exact else total + float(a) * v
-                line.append(total)
-            grid.append(line)
+    def check_psd(grid, where: str) -> None:
         if exact:
             bad = _psd_violation_exact(grid)
         else:
             bad = _psd_violation_float(grid, tol)
         if bad is not None:
-            issues.append(
-                CertifyIssue("psd", f"shifted matrix {row.label}: {bad[0]}", bad[1])
-            )
+            issues.append(CertifyIssue("psd", f"{where}: {bad[0]}", bad[1]))
+
+    check_psd(moment_matrix(y, min(level + 1, n)).grid, "main matrix")
+    checks["psd_main"] = 1
+    n_rows = 0
+    for row in rows:
+        n_rows += 1
+        shifted = moment_matrix(shift(dict(row.support()), row.rhs, y), min(level, n))
+        check_psd(shifted.grid, f"shifted matrix {row.label}")
     checks["psd_shifted"] = n_rows
 
     mono = 0
@@ -738,8 +729,9 @@ def certify(
         k
         for k in subsets_upto(n, cap_pairs)
         if k and abs(y.entries[k] - 1) <= eps
-    ][:spot_ones]
-    others = subsets_upto(n, cap_pairs)[:spot_other]
+    ][:SPOT_ONES]
+    others = subsets_upto(n, cap_pairs)[:SPOT_OTHER]
+    me = y.mask_entries()
     ones_checked = 0
     for full in one_sets:
         for other in others:

@@ -28,6 +28,7 @@ from .instance import (
     EdgeId,
     LayeredInstance,
     PathRecord,
+    reachable,
     shortest_path,
     verify_solution,
 )
@@ -205,7 +206,8 @@ def round_solution(
         for s, count in run.z.items():
             z_totals[s] += count
 
-    connected = _connected_terminals(graph, union)
+    reached = reachable([graph.root], union)
+    connected = {s: s in reached for s in graph.terminals}
     repair: set[EdgeId] = set()
     for s in graph.terminals:
         if not connected[s]:
@@ -226,23 +228,6 @@ def round_solution(
         clamps=clamps,
         z_totals=z_totals,
     )
-
-
-def _connected_terminals(
-    graph: DstInstance, edges: set[EdgeId]
-) -> dict[str, bool]:
-    adj: dict[str, list[str]] = {}
-    for tail, head in edges:
-        adj.setdefault(tail, []).append(head)
-    seen = {graph.root}
-    stack = [graph.root]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return {s: s in seen for s in graph.terminals}
 
 
 @dataclass

@@ -80,21 +80,49 @@ def _float_grid(mat):
     return np.array([[float(v) for v in row] for row in mat.grid])
 
 
-def test_assemble_matches_moment_algebra():
+def _pick_cap_system():
     rows = (
         Row((Fraction(1), Fraction(1), Fraction(0)), Fraction(1), "pick"),
         Row((Fraction(0), Fraction(0), Fraction(-1)), Fraction(-1), "cap"),
     )
-    cs = ConstraintSystem(
+    return ConstraintSystem(
         n_vars=3,
         rows=rows,
         objective=(Fraction(1), Fraction(2), Fraction(3)),
     )
-    level = 1
-    prob = assemble(cs, level)
-    assert prob.row_labels == ("pick", "cap")
 
-    dist = [(Fraction(1, 2), (1, 1, 0)), (Fraction(1, 2), (0, 1, 1))]
+
+def _diamond_system():
+    return build_flow_lp(as_layered(tiny_diamond()))[0]
+
+
+@pytest.mark.parametrize(
+    "make_system,level,dist",
+    [
+        (
+            _pick_cap_system,
+            1,
+            [(Fraction(1, 2), (1, 1, 0)), (Fraction(1, 2), (0, 1, 1))],
+        ),
+        # 8 variables, 31 rows: rhs-0 rows and consv.ge/consv.le equality pairs
+        (
+            _diamond_system,
+            2,
+            [
+                (Fraction(1, 2), (1, 0, 1, 0, 1, 0, 1, 0)),
+                (Fraction(1, 3), (0, 1, 0, 1, 0, 1, 0, 1)),
+                (Fraction(1, 6), (1, 1, 0, 0, 1, 1, 1, 0)),
+            ],
+        ),
+    ],
+    ids=["pick-cap@1", "diamond-lp@2"],
+)
+def test_assemble_matches_moment_algebra(make_system, level, dist):
+    cs = make_system()
+    rows = cs.rows
+    prob = assemble(cs, level)
+    assert prob.row_labels == tuple(row.label for row in rows)
+
     y = from_distribution(dist, level)
     x = np.array([float(y.value(s)) for s in prob.free_sets])
 

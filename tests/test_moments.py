@@ -385,13 +385,18 @@ def test_certify_float_tolerance():
     assert not certify(y, 0, tol=1e-9).ok
 
 
-def test_shifted_block_catches_violated_row():
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_shifted_block_catches_violated_row(exact):
     # point mass violating x0 <= 1/2
     y = from_distribution([(Fraction(1), (1, 1))], 1)
+    if not exact:
+        y = make_moment_vector(2, 1, {k: float(v) for k, v in y.entries.items()})
+    assert y.exact == exact
     row = Row((Fraction(-1), Fraction(0)), Fraction(-1, 2), "x0<=1/2")
-    report = certify(y, 1, [row])
+    report = certify(y, 1, [row], tol=1e-9)
     assert not report.ok
-    assert any("x0<=1/2" in issue.where for issue in report.issues)
+    assert [issue.kind for issue in report.issues] == ["psd"]
+    assert "shifted matrix x0<=1/2" in report.issues[0].where
 
 
 def test_moment_file_round_trip_exact():
