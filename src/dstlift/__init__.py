@@ -18,7 +18,6 @@ from .instance import (
 from .exact import (
     CapExceededError,
     ExactResult,
-    enumerate_integral_solutions,
     enumerate_paths,
     exact_opt,
 )
@@ -30,7 +29,6 @@ from .flow_lp import (
     build_flow_lp,
     check_point,
     format_lp_dump,
-    lp_feasible,
     parse_lp_dump,
     solve_lp,
 )
@@ -49,10 +47,8 @@ from .moments import (
     from_distribution,
     import_moments,
     inversion_check,
-    make_moment_vector,
     mobius_atoms,
     moment_matrix,
-    normalize_condition,
     reconstruction_deviation,
     shift,
     shift_commutes_check,

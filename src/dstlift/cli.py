@@ -53,17 +53,11 @@ def _cmd_solve_lp(args) -> int:
     payload = {"status": solution.status, "n_vars": cs.n_vars, "n_rows": len(cs.rows)}
     if solution.status == "optimal":
         payload["objective"] = solution.objective
-        nonzero = {}
-        for i, value in enumerate(solution.values):
-            if value != 0:
-                vi = vmap.by_ordinal(i)
-                key = (
-                    f"e[{vi.edge[0]}->{vi.edge[1]}]"
-                    if vi.kind == "edge"
-                    else f"f[{vi.terminal}][{vi.edge[0]}->{vi.edge[1]}]"
-                )
-                nonzero[key] = value
-        payload["nonzero"] = nonzero
+        payload["nonzero"] = {
+            vmap.by_ordinal(i).tag: value
+            for i, value in enumerate(solution.values)
+            if value != 0
+        }
     sys.stdout.write(canonical_json(payload))
     return 0 if solution.status == "optimal" else 1
 
@@ -131,10 +125,9 @@ def _cmd_check(args) -> int:
         inversions.append({"scope": scope, "ok": ok, "deviation": float(dev)})
     commute = []
     for row in cs.rows[:3]:
-        coeffs = {i: a for i, a in row.support()}
         try:
             ok, dev = moments.shift_commutes_check(
-                vector, [], [0], coeffs, row.rhs, tol=args.tol
+                vector, [], [0], row.coeffs, row.rhs, tol=args.tol
             )
         except moments.DomainError:
             continue

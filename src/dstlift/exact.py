@@ -11,7 +11,6 @@ with the edge extension phase run as a Dijkstra sweep per subset.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +19,12 @@ from .instance import (
     EdgeId,
     LayeredInstance,
     PathRecord,
-    reachable,
     trace_path,
 )
 
 MAX_TERMINALS = 16
+# More root paths than this to one target is an error, not a truncation.
+PATH_CAP = 200_000
 
 
 class CapExceededError(RuntimeError):
@@ -118,16 +118,14 @@ def exact_opt(inst: DstInstance) -> ExactResult:
 
 
 def enumerate_paths(
-    layered: LayeredInstance,
-    target: str | EdgeId,
-    cap: int = 200_000,
+    layered: LayeredInstance, target: str | EdgeId
 ) -> list[PathRecord]:
     """All root paths in a layered graph ending at a node or with an edge.
 
     For a node target this is every directed root-to-node path; for an edge
     target, every root path whose final edge is exactly that edge.  Output is
-    sorted by edge sequence for reproducibility.  More than `cap` paths is an
-    error rather than a truncation.
+    sorted by edge sequence for reproducibility.  More than PATH_CAP paths is
+    an error rather than a truncation.
     """
     graph = layered.graph
     if isinstance(target, tuple):
@@ -136,7 +134,7 @@ def enumerate_paths(
             raise ValueError(f"unknown edge {target!r}")
         if tail == graph.root:
             return [trace_path(graph, [target])]
-        stems = enumerate_paths(layered, tail, cap=cap)
+        stems = enumerate_paths(layered, tail)
         return [trace_path(graph, p.edges + (target,)) for p in stems]
 
     if target not in set(graph.nodes):
@@ -149,8 +147,8 @@ def enumerate_paths(
     def walk(v: str) -> None:
         if v == target:
             found.append(tuple(prefix))
-            if len(found) > cap:
-                raise CapExceededError(f"more than {cap} paths to {target!r}")
+            if len(found) > PATH_CAP:
+                raise CapExceededError(f"more than {PATH_CAP} paths to {target!r}")
             return
         for edge in graph.out_edges[v]:
             prefix.append(edge)
@@ -160,42 +158,3 @@ def enumerate_paths(
     walk(graph.root)
     found.sort()
     return [trace_path(graph, edges) for edges in found]
-
-
-def enumerate_integral_solutions(
-    layered: LayeredInstance, cap: int = 200_000
-) -> list[tuple[frozenset[EdgeId], Fraction]]:
-    """All minimal feasible layered edge sets with their costs.
-
-    Every feasible solution contains, per terminal, a full root path, so the
-    minimal solutions are found by combining one path per terminal and
-    pruning combinations where some edge is removable.  Results are
-    deduplicated and sorted by (cost, edges).
-    """
-    graph = layered.graph
-    terminals = set(graph.terminals)
-    per_terminal = [enumerate_paths(layered, s, cap=cap) for s in graph.terminals]
-    combos = 1
-    for paths in per_terminal:
-        combos *= len(paths)
-        if combos > cap:
-            raise CapExceededError(f"more than {cap} path combinations")
-
-    seen: set[frozenset[EdgeId]] = set()
-    out: list[tuple[frozenset[EdgeId], Fraction]] = []
-    for pick in itertools.product(*per_terminal):
-        union: set[EdgeId] = set()
-        for path in pick:
-            union.update(path.edges)
-        if any(
-            terminals <= reachable([graph.root], union - {edge}) for edge in union
-        ):
-            continue  # some edge is removable
-        frozen = frozenset(union)
-        if frozen in seen:
-            continue
-        seen.add(frozen)
-        cost = sum((graph.cost(e) for e in union), Fraction(0))
-        out.append((frozen, cost))
-    out.sort(key=lambda item: (item[1], sorted(item[0])))
-    return out

@@ -5,16 +5,18 @@ The relaxation has one capacity variable per edge and one flow variable per
 root to that terminal; flows are capped by the edge variable; every node has
 total fractional indegree at most one; all variables live in [0, 1].
 
-Constraint systems are plain dense rows `a . x >= b` over Fraction
-coefficients.  `solve_lp` is a two-phase tableau simplex with Bland's rule,
-running entirely in rational arithmetic, so optima are exact.
+Constraint systems are rows `a . x >= b` over Fraction coefficients, each
+row holding only its nonzero coefficients.  Dense vectors appear only in the
+`.lp` dump, which writes every coefficient, and in the simplex tableau.
+`solve_lp` is a two-phase tableau simplex with Bland's rule, running entirely
+in rational arithmetic, so optima are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .instance import DstInstance, EdgeId, LayeredInstance, format_cost, parse_cost
 
@@ -30,6 +32,12 @@ class VarIndex:
     kind: str  # "edge" or "flow"
     edge: EdgeId
     terminal: str | None
+
+    @property
+    def tag(self) -> str:
+        """`e[t->h]` for an edge variable, `f[s][t->h]` for a flow variable."""
+        arc = f"[{self.edge[0]}->{self.edge[1]}]"
+        return f"e{arc}" if self.kind == "edge" else f"f[{self.terminal}]{arc}"
 
 
 class VariableMap:
@@ -83,14 +91,23 @@ class VariableMap:
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality `coeffs . x >= rhs`."""
+    """One inequality `coeffs . x >= rhs`.
 
-    coeffs: tuple[Fraction, ...]
+    `coeffs` maps variable ordinals to coefficients; construction drops the
+    zeros and sorts by ordinal, so every row holds only nonzero coefficients
+    in ascending index order.
+    """
+
+    coeffs: dict[int, Fraction]
     rhs: Fraction
     label: str
 
+    def __post_init__(self):
+        nonzero = {i: a for i, a in sorted(self.coeffs.items()) if a != 0}
+        object.__setattr__(self, "coeffs", nonzero)
+
     def support(self) -> list[tuple[int, Fraction]]:
-        return [(i, a) for i, a in enumerate(self.coeffs) if a != 0]
+        return list(self.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -119,25 +136,8 @@ def build_flow_lp(layered: LayeredInstance) -> tuple[ConstraintSystem, VariableM
     zero = Fraction(0)
     one = Fraction(1)
 
-    def row(entries: dict[int, Fraction], rhs: Fraction, label: str) -> Row:
-        coeffs = [zero] * n
-        for i, a in entries.items():
-            coeffs[i] = a
-        return Row(tuple(coeffs), rhs, label)
-
-    rows: list[Row] = []
-    for i in range(n):
-        vi = vmap.by_ordinal(i)
-        tag = f"e[{vi.edge[0]}->{vi.edge[1]}]" if vi.kind == "edge" else (
-            f"f[{vi.terminal}][{vi.edge[0]}->{vi.edge[1]}]"
-        )
-        rows.append(row({i: one}, zero, f"lb.{tag}"))
-    for i in range(n):
-        vi = vmap.by_ordinal(i)
-        tag = f"e[{vi.edge[0]}->{vi.edge[1]}]" if vi.kind == "edge" else (
-            f"f[{vi.terminal}][{vi.edge[0]}->{vi.edge[1]}]"
-        )
-        rows.append(row({i: -one}, -one, f"ub.{tag}"))
+    rows = [Row({i: one}, zero, f"lb.{vi.tag}") for i, vi in enumerate(vmap.columns)]
+    rows += [Row({i: -one}, -one, f"ub.{vi.tag}") for i, vi in enumerate(vmap.columns)]
 
     for s in graph.terminals:
         for v in graph.nodes:
@@ -149,15 +149,15 @@ def build_flow_lp(layered: LayeredInstance) -> tuple[ConstraintSystem, VariableM
             if not entries:
                 continue
             rhs = one if v == graph.root else (-one if v == s else zero)
-            rows.append(row(entries, rhs, f"consv.ge[{s}][{v}]"))
+            rows.append(Row(entries, rhs, f"consv.ge[{s}][{v}]"))
             rows.append(
-                row({i: -a for i, a in entries.items()}, -rhs, f"consv.le[{s}][{v}]")
+                Row({i: -a for i, a in entries.items()}, -rhs, f"consv.le[{s}][{v}]")
             )
 
     for s in graph.terminals:
         for e in vmap.edge_list:
             rows.append(
-                row(
+                Row(
                     {vmap.edge_ordinal(e): one, vmap.flow_ordinal(s, e): -one},
                     zero,
                     f"cap[{s}][{e[0]}->{e[1]}]",
@@ -168,7 +168,7 @@ def build_flow_lp(layered: LayeredInstance) -> tuple[ConstraintSystem, VariableM
         if not graph.in_edges[v]:
             continue
         entries = {vmap.edge_ordinal(e): -one for e in graph.in_edges[v]}
-        rows.append(row(entries, -one, f"deg[{v}]"))
+        rows.append(Row(entries, -one, f"deg[{v}]"))
 
     objective = [zero] * n
     for e in vmap.edge_list:
@@ -193,7 +193,7 @@ def check_point(
         raise ValueError(f"point has {len(x)} coordinates, system wants {cs.n_vars}")
     bad = []
     for r in cs.rows:
-        lhs = sum(a * x[i] for i, a in r.support())
+        lhs = sum(a * x[i] for i, a in r.coeffs.items())
         if lhs < r.rhs - tol:
             bad.append(Violation(r.label, r.rhs - lhs))
     return bad
@@ -213,55 +213,27 @@ def solve_lp(cs: ConstraintSystem) -> LpSolution:
     Trivially redundant rows (nonnegative single-variable bounds with
     nonpositive rhs) are dropped before the tableau is built.
     """
-    status, values = _simplex(cs.rows, cs.objective, cs.n_vars, want_values=True)
+    status, values = _simplex(cs)
     if status != "optimal":
         return LpSolution(status, None, None)
     obj = sum((c * v for c, v in zip(cs.objective, values)), Fraction(0))
     return LpSolution("optimal", tuple(values), obj)
 
 
-def lp_feasible(
-    cs: ConstraintSystem, force_one: Iterable[int] = ()
-) -> bool:
-    """Phase-1 feasibility of the rows (x >= 0), optionally pinning x_i >= 1.
-
-    Used to decide whether variable sets can be simultaneously active in the
-    polytope; with the [0,1] boxes in the rows this pins x_i = 1.
-    """
-    one = Fraction(1)
-    zero = Fraction(0)
-    extra = []
-    for i in sorted(set(force_one)):
-        coeffs = [zero] * cs.n_vars
-        coeffs[i] = one
-        extra.append(Row(tuple(coeffs), one, f"pin[{i}]"))
-    status, _ = _simplex(
-        tuple(cs.rows) + tuple(extra),
-        (zero,) * cs.n_vars,
-        cs.n_vars,
-        want_values=False,
-    )
-    return status == "optimal"
-
-
-def _simplex(rows, objective, n, want_values):
+def _simplex(cs: ConstraintSystem):
+    n = cs.n_vars
     zero = Fraction(0)
     one = Fraction(1)
 
-    work: list[tuple[list[Fraction], Fraction]] = []
-    for r in rows:
-        support = r.support()
-        if not support:
+    work: list[tuple[dict[int, Fraction], Fraction]] = []
+    for r in cs.rows:
+        if not r.coeffs:
             if r.rhs > 0:
                 return "infeasible", None
             continue
-        if (
-            len(support) == 1
-            and support[0][1] > 0
-            and r.rhs <= 0
-        ):
+        if len(r.coeffs) == 1 and next(iter(r.coeffs.values())) > 0 and r.rhs <= 0:
             continue  # implied by x >= 0
-        work.append((list(r.coeffs), r.rhs))
+        work.append((r.coeffs, r.rhs))
 
     m = len(work)
     art_rows = [i for i, (_, b) in enumerate(work) if b > 0]
@@ -275,14 +247,14 @@ def _simplex(rows, objective, n, want_values):
     for i, (coeffs, b) in enumerate(work):
         line = [zero] * width
         if b > 0:
-            for j, a in enumerate(coeffs):
+            for j, a in coeffs.items():
                 line[j] = a
             line[n + i] = -one
             line[art_col[i]] = one
             line[-1] = b
             basis.append(art_col[i])
         else:
-            for j, a in enumerate(coeffs):
+            for j, a in coeffs.items():
                 line[j] = -a
             line[n + i] = one
             line[-1] = -b
@@ -372,13 +344,11 @@ def _simplex(rows, objective, n, want_values):
             del tab[i], basis[i]
         m = len(tab)
 
-    cost2 = list(objective) + [zero] * (width - n)
+    cost2 = list(cs.objective) + [zero] * (width - n)
     z = reduced_costs(cost2)
     res = optimize(z, n + m)
     if res != "optimal":
         return res, None
-    if not want_values:
-        return "optimal", None
     x = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
@@ -387,14 +357,17 @@ def _simplex(rows, objective, n, want_values):
 
 
 def format_lp_dump(cs: ConstraintSystem) -> str:
-    """Serialize a constraint system, one row per line, rational tokens."""
+    """Serialize a constraint system, one row per line, rational tokens.
+
+    Rows are written dense, every coefficient including the zeros.
+    """
+    zero = Fraction(0)
     lines = [f"lpdump {cs.n_vars} {len(cs.rows)}"]
     lines.append("min " + " ".join(format_cost(c) for c in cs.objective))
     for r in cs.rows:
+        dense = (r.coeffs.get(j, zero) for j in range(cs.n_vars))
         lines.append(
-            "ge "
-            + " ".join(_signed(c) for c in r.coeffs)
-            + f" {_signed(r.rhs)} {r.label}"
+            "ge " + " ".join(_signed(c) for c in dense) + f" {_signed(r.rhs)} {r.label}"
         )
     return "\n".join(lines) + "\n"
 
@@ -435,7 +408,7 @@ def parse_lp_dump(text: str) -> ConstraintSystem:
         parts = ln.split()
         if parts[0] != "ge" or len(parts) != n + 3:
             raise LpFormatError(f"row wants 'ge', {n} coefficients, rhs, label: {ln!r}")
-        coeffs = tuple(_parse_signed(t) for t in parts[1 : n + 1])
+        coeffs = {j: _parse_signed(t) for j, t in enumerate(parts[1 : n + 1])}
         rhs = _parse_signed(parts[n + 1])
         rows.append(Row(coeffs, rhs, parts[n + 2]))
     return ConstraintSystem(n_vars=n, rows=tuple(rows), objective=objective)

@@ -161,7 +161,7 @@ def assemble(
     masks0 = [mask_of(s) for s in subsets_upto(n, min(level, n))]
     L_rows, C_rows = _slot_map(
         [
-            ([(i, float(a)) for i, a in row.support()], float(row.rhs))
+            ([(i, float(a)) for i, a in row.coeffs.items()], float(row.rhs))
             for row in cs.rows
         ],
         masks0,
@@ -191,16 +191,17 @@ def assemble(
 
 
 # ADMM starts at penalty RHO_START and rebalances it every 100 iterations;
-# OVER_RELAX is the over-relaxation factor of the cone updates.
+# OVER_RELAX is the over-relaxation factor of the cone updates.  Residuals
+# are checked every CHECK_EVERY iterations and at the last one.
 RHO_START = 2.0
 OVER_RELAX = 1.6
+CHECK_EVERY = 25
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 20000
     tol: float = 1.0e-7
-    check_every: int = 25
 
 
 @dataclass
@@ -315,7 +316,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         uM = uM + hM - zM_new
         uR = uR + hR - zR_new
 
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
+        if it % CHECK_EVERY == 0 or it == cfg.max_iter:
             rM = axM - zM_new
             rR = axR - zR_new
             r_norm = math.sqrt(float(np.sum(rM * rM) + np.sum(rR * rR)))

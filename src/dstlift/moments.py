@@ -147,30 +147,6 @@ class MomentVector:
         return self._complete_size
 
 
-def make_moment_vector(
-    n_vars: int, level: int, entries: Mapping[Iterable[int], Value]
-) -> MomentVector:
-    """Validate indices, canonicalize keys, and infer the arithmetic backend."""
-    if n_vars < 0 or level < 0:
-        raise ValueError("n_vars and level must be nonnegative")
-    canon: dict[IndexSet, Value] = {}
-    any_float = False
-    for raw_key, value in entries.items():
-        key = iset(raw_key)
-        if key and (key[0] < 0 or key[-1] >= n_vars):
-            raise ValueError(f"index set {key!r} outside range({n_vars})")
-        if key in canon:
-            raise ValueError(f"duplicate index set {key!r}")
-        if isinstance(value, float):
-            any_float = True
-        canon[key] = value
-    if any_float:
-        canon = {k: float(v) for k, v in canon.items()}
-        return MomentVector(n_vars, level, canon, exact=False)
-    canon = {k: Fraction(v) for k, v in canon.items()}
-    return MomentVector(n_vars, level, canon, exact=True)
-
-
 @dataclass(frozen=True)
 class MomentMatrix:
     sets: tuple[IndexSet, ...]
@@ -195,34 +171,19 @@ def moment_matrix(y: MomentVector, size: int) -> MomentMatrix:
     return MomentMatrix(tuple(sets), tuple(grid))
 
 
-def _coerce_coeffs(
-    coeffs: Mapping[int, Value] | Sequence[Value], n_vars: int
-) -> list[tuple[int, Value]]:
-    if isinstance(coeffs, Mapping):
-        items = sorted(coeffs.items())
-    else:
-        items = list(enumerate(coeffs))
-    out = []
-    for i, a in items:
-        if i < 0 or i >= n_vars:
-            raise ValueError(f"coefficient index {i} outside range({n_vars})")
-        if a != 0:
-            out.append((i, a))
-    return out
-
-
-def shift(
-    coeffs: Mapping[int, Value] | Sequence[Value],
-    rhs: Value,
-    y: MomentVector,
-) -> MomentVector:
+def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVector:
     """Apply a constraint row `sum_i a_i x_i >= rhs` to the vector.
 
     Output entry at I is `sum_i a_i y(I + {i}) - rhs * y(I)`; the domain
     shrinks to the sets where every required entry exists.  Variables with a
     zero coefficient do not constrain the domain.
     """
-    support = _coerce_coeffs(coeffs, y.n_vars)
+    support = []
+    for i, a in sorted(coeffs.items()):
+        if i < 0 or i >= y.n_vars:
+            raise ValueError(f"coefficient index {i} outside range({y.n_vars})")
+        if a != 0:
+            support.append((i, a))
     me = y.mask_entries()
     exact = y.exact and not isinstance(rhs, float) and all(
         not isinstance(a, float) for _, a in support
@@ -317,38 +278,11 @@ def condition(
     )
 
 
-def normalize_condition(
-    y: MomentVector,
-    ones: Iterable[int],
-    scope: Iterable[int],
-    tol: float = 0.0,
-) -> MomentVector | None:
-    """Conditioned vector scaled to mass one, or None when the mass is zero.
-
-    Negative mass beyond the tolerance means the input was not a valid
-    hierarchy point; that is reported as an error rather than a vector.
-    """
-    z = condition(y, ones, scope)
-    try:
-        mass = z.value(())
-    except MissingMomentError:
-        raise DomainError("conditioning domain does not include the empty set")
-    if z.exact:
-        if mass == 0:
-            return None
-        if mass < 0:
-            raise DomainError(f"negative conditioned mass {mass}")
-        scaled = {k: v / mass for k, v in z.entries.items()}
-    else:
-        if abs(mass) <= tol:
-            return None
-        if mass < 0:
-            raise DomainError(f"negative conditioned mass {mass}")
-        scaled = {k: v / mass for k, v in z.entries.items()}
-    return MomentVector(y.n_vars, z.level, scaled, exact=z.exact)
+# Moebius inversion walks all 2^n subsets; refuse more than MAX_ATOM_VARS.
+MAX_ATOM_VARS = 20
 
 
-def mobius_atoms(y: MomentVector, limit: int = 20) -> dict[tuple[int, ...], Value]:
+def mobius_atoms(y: MomentVector) -> dict[tuple[int, ...], Value]:
     """Invert moments to atomic masses on 0/1 points (full-domain vectors only).
 
     Returns the signed mass of every point; the masses sum to the empty-set
@@ -356,8 +290,8 @@ def mobius_atoms(y: MomentVector, limit: int = 20) -> dict[tuple[int, ...], Valu
     nonnegative representing distribution.
     """
     n = y.n_vars
-    if n > limit:
-        raise CapExceededError(f"{n} variables exceeds inversion cap {limit}")
+    if n > MAX_ATOM_VARS:
+        raise CapExceededError(f"{n} variables exceeds inversion cap {MAX_ATOM_VARS}")
     if y.complete_size() < n:
         raise DomainError("inversion needs every subset of the ground set")
     me = y.mask_entries()
@@ -458,7 +392,7 @@ def shift_commutes_check(
     y: MomentVector,
     ones: Iterable[int],
     scope: Iterable[int],
-    coeffs: Mapping[int, Value] | Sequence[Value],
+    coeffs: Mapping[int, Value],
     rhs: Value,
     tol: float = 0.0,
 ) -> tuple[bool, Value]:
@@ -697,10 +631,19 @@ def certify(
 
     check_psd(moment_matrix(y, min(level + 1, n)).grid, "main matrix")
     checks["psd_main"] = 1
+    # A row block reads the shift on sets of size <= 2t, which needs y only up
+    # to size 2t+1: shift a copy cut there instead of every stored entry.
+    t = min(level, n)
+    cut = MomentVector(
+        n,
+        y.level,
+        {k: v for k, v in y.entries.items() if len(k) <= 2 * t + 1},
+        exact=exact,
+    )
     n_rows = 0
     for row in rows:
         n_rows += 1
-        shifted = moment_matrix(shift(dict(row.support()), row.rhs, y), min(level, n))
+        shifted = moment_matrix(shift(row.coeffs, row.rhs, cut), t)
         check_psd(shifted.grid, f"shifted matrix {row.label}")
     checks["psd_shifted"] = n_rows
 

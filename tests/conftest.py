@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from dstlift import as_layered, build_flow_lp, make_instance, parse_instance
+from dstlift import as_layered, build_flow_lp, make_instance, parse_instance, solve_lp
+from dstlift.flow_lp import ConstraintSystem, Row
 
 REFERENCE_TEXT = """\
 # three-hop reference instance, optimum 19
@@ -103,3 +104,13 @@ def tiny_chain():
         "r",
         ["s"],
     )
+
+
+def lp_feasible(cs, force_one=()):
+    """Can the rows (x >= 0) hold with every x_i, i in `force_one`, at one?
+
+    With the [0, 1] boxes in the rows, `x_i >= 1` pins x_i = 1.
+    """
+    pins = tuple(Row({i: Fraction(1)}, Fraction(1), f"pin[{i}]") for i in force_one)
+    probe = ConstraintSystem(cs.n_vars, cs.rows + pins, (Fraction(0),) * cs.n_vars)
+    return solve_lp(probe).status == "optimal"

@@ -33,6 +33,7 @@ from conftest import (
     REFERENCE_OPT,
     REFERENCE_OPT_EDGES,
     REFERENCE_TEXT,
+    lp_feasible,
     tiny_chain,
     tiny_diamond,
 )
@@ -394,13 +395,13 @@ def _infeasible_sets(name: str):
     """Variable sets the flow polytope cannot activate simultaneously."""
     layered, cs, vmap = _setup(name)
     feasible_single = [
-        i for i in range(cs.n_vars) if flow_lp.lp_feasible(cs, (i,))
+        i for i in range(cs.n_vars) if lp_feasible(cs, (i,))
     ]
     sets = [
         (i,) for i in range(cs.n_vars) if i not in set(feasible_single)
     ]
     for i, j in itertools.combinations(feasible_single, 2):
-        if not flow_lp.lp_feasible(cs, (i, j)):
+        if not lp_feasible(cs, (i, j)):
             sets.append((i, j))
     return tuple(sets)
 

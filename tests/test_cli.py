@@ -169,7 +169,8 @@ def test_check_accepts_distribution(
 def test_check_flags_corruption(
     diamond_moments, diamond_system, tmp_path, capsys
 ):
-    lines = open(diamond_moments).read().splitlines()
+    with open(diamond_moments) as fh:
+        lines = fh.read().splitlines()
     # inflate the last stored moment well past its singleton bounds
     broken = lines[:-1] + [lines[-1].rsplit(":", 1)[0] + ": 7/2"]
     bad = tmp_path / "bad.mv"

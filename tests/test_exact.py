@@ -8,16 +8,14 @@ import pytest
 
 from dstlift import (
     CapExceededError,
-    as_layered,
-    enumerate_integral_solutions,
     enumerate_paths,
+    exact,
     exact_opt,
-    levelize,
     make_instance,
     verify_solution,
 )
 
-from conftest import REFERENCE_OPT, REFERENCE_OPT_EDGES, tiny_diamond
+from conftest import REFERENCE_OPT, REFERENCE_OPT_EDGES
 
 
 def _brute_opt(inst):
@@ -116,50 +114,7 @@ def test_enumerate_paths_edge_target(reference_layered):
     assert len(paths) == 2  # via u1 and via u2
 
 
-def test_enumerate_paths_cap(reference_layered):
+def test_enumerate_paths_cap(reference_layered, monkeypatch):
+    monkeypatch.setattr(exact, "PATH_CAP", 2)
     with pytest.raises(CapExceededError):
-        enumerate_paths(reference_layered, "s1", cap=2)
-
-
-def test_integral_solutions_diamond():
-    layered = as_layered(tiny_diamond())
-    sols = enumerate_integral_solutions(layered)
-    assert [(sorted(s), c) for s, c in sols] == [
-        ([("b", "s"), ("r", "b")], Fraction(3)),
-        ([("a", "s"), ("r", "a")], Fraction(5)),
-    ]
-
-
-def test_integral_solutions_are_minimal_feasible_and_complete(reference_instance):
-    layered = levelize(reference_instance, 1)
-    sols = enumerate_integral_solutions(layered)
-    assert sols, "layered instance always has solutions"
-    seen = set()
-    for edges, cost in sols:
-        assert edges not in seen
-        seen.add(edges)
-        feasible, check_cost = verify_solution(layered.graph, edges)
-        assert feasible and check_cost == cost
-        for e in edges:
-            still_feasible, _ = verify_solution(layered.graph, edges - {e})
-            assert not still_feasible, "dropping any edge must break feasibility"
-    # the cheapest minimal solution is the optimum
-    assert min(c for _, c in sols) == exact_opt(layered.graph).cost
-
-
-def test_integral_solutions_match_brute_force_on_small():
-    layered = as_layered(tiny_diamond())
-    graph = layered.graph
-    edges = [e for e, _ in graph.edges]
-    brute = set()
-    for k in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, k):
-            feasible, _ = verify_solution(graph, combo)
-            if not feasible:
-                continue
-            minimal = all(
-                not verify_solution(graph, set(combo) - {e})[0] for e in combo
-            )
-            if minimal:
-                brute.add(frozenset(combo))
-    assert {s for s, _ in enumerate_integral_solutions(layered)} == brute
+        enumerate_paths(reference_layered, "s1")

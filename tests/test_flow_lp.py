@@ -14,18 +14,19 @@ from dstlift import (
     exact_opt,
     format_lp_dump,
     levelize,
-    lp_feasible,
     parse_lp_dump,
     solve_lp,
 )
 from dstlift.flow_lp import ConstraintSystem, Row
 
-from conftest import tiny_chain, tiny_diamond
+from conftest import lp_feasible, tiny_chain, tiny_diamond
 
 
 def _scipy_value(cs):
     """Reference optimum from an unrelated implementation (HiGHS)."""
-    a_ub = [[-float(a) for a in row.coeffs] for row in cs.rows]
+    a_ub = [
+        [-float(row.coeffs.get(j, 0)) for j in range(cs.n_vars)] for row in cs.rows
+    ]
     b_ub = [-float(row.rhs) for row in cs.rows]
     res = linprog(
         [float(c) for c in cs.objective],
@@ -42,13 +43,15 @@ def _random_system(rng, n, m):
     for i in range(n):
         coeffs = [Fraction(0)] * n
         coeffs[i] = Fraction(1)
-        rows.append(Row(tuple(coeffs), Fraction(0), f"lb{i}"))
+        rows.append(Row(dict(enumerate(coeffs)), Fraction(0), f"lb{i}"))
         coeffs = [Fraction(0)] * n
         coeffs[i] = Fraction(-1)
-        rows.append(Row(tuple(coeffs), Fraction(-rng.randint(1, 4)), f"ub{i}"))
+        rows.append(
+            Row(dict(enumerate(coeffs)), Fraction(-rng.randint(1, 4)), f"ub{i}")
+        )
     for j in range(m):
-        coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        rows.append(Row(coeffs, Fraction(rng.randint(-4, 4)), f"c{j}"))
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        rows.append(Row(dict(enumerate(coeffs)), Fraction(rng.randint(-4, 4)), f"c{j}"))
     objective = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
     return ConstraintSystem(n_vars=n, rows=tuple(rows), objective=objective)
 
@@ -75,7 +78,7 @@ def test_simplex_agrees_with_scipy(seed):
 def test_simplex_detects_unbounded():
     cs = ConstraintSystem(
         n_vars=1,
-        rows=(Row((Fraction(1),), Fraction(0), "lb"),),
+        rows=(Row({0: Fraction(1)}, Fraction(0), "lb"),),
         objective=(Fraction(-1),),
     )
     assert solve_lp(cs).status == "unbounded"
@@ -85,8 +88,8 @@ def test_simplex_detects_infeasible():
     cs = ConstraintSystem(
         n_vars=1,
         rows=(
-            Row((Fraction(1),), Fraction(3), "ge3"),
-            Row((Fraction(-1),), Fraction(-1), "le1"),
+            Row({0: Fraction(1)}, Fraction(3), "ge3"),
+            Row({0: Fraction(-1)}, Fraction(-1), "le1"),
         ),
         objective=(Fraction(1),),
     )
@@ -163,11 +166,56 @@ def test_check_point_reports_violations(reference_lp):
         check_point(cs, x[:-1])
 
 
-def test_lp_dump_round_trip(reference_lp):
-    cs, _ = reference_lp
-    text = format_lp_dump(cs)
-    again = parse_lp_dump(text)
+# The chain LP as written on disk: dense rows, zeros included.
+CHAIN_LP_DUMP = """\
+lpdump 4 18
+min 3 2 0 0
+ge 1 0 0 0 0 lb.e[a->s]
+ge 0 1 0 0 0 lb.e[r->a]
+ge 0 0 1 0 0 lb.f[s][a->s]
+ge 0 0 0 1 0 lb.f[s][r->a]
+ge -1 0 0 0 -1 ub.e[a->s]
+ge 0 -1 0 0 -1 ub.e[r->a]
+ge 0 0 -1 0 -1 ub.f[s][a->s]
+ge 0 0 0 -1 -1 ub.f[s][r->a]
+ge 0 0 1 -1 0 consv.ge[s][a]
+ge 0 0 -1 1 0 consv.le[s][a]
+ge 0 0 0 1 1 consv.ge[s][r]
+ge 0 0 0 -1 -1 consv.le[s][r]
+ge 0 0 -1 0 -1 consv.ge[s][s]
+ge 0 0 1 0 1 consv.le[s][s]
+ge 1 0 -1 0 0 cap[s][a->s]
+ge 0 1 0 -1 0 cap[s][r->a]
+ge 0 -1 0 0 -1 deg[a]
+ge -1 0 0 0 -1 deg[s]
+"""
+
+
+def _assert_sparse_rows(cs):
+    for row in cs.rows:
+        assert all(a != 0 for a in row.coeffs.values()), row.label
+        assert list(row.coeffs) == sorted(row.coeffs), row.label
+
+
+@pytest.mark.parametrize("which", ["reference", "chain"])
+def test_lp_dump_round_trip(which, reference_lp):
+    if which == "reference":
+        cs, _ = reference_lp
+    else:
+        cs, _ = build_flow_lp(as_layered(tiny_chain()))
+        assert format_lp_dump(cs) == CHAIN_LP_DUMP
+    _assert_sparse_rows(cs)
+    again = parse_lp_dump(format_lp_dump(cs))
+    _assert_sparse_rows(again)
     assert again == cs
+
+
+def test_row_keeps_only_nonzero_coefficients_in_order():
+    dense = {3: Fraction(2), 0: Fraction(0), 1: Fraction(-1), 2: Fraction(0)}
+    row = Row(dense, Fraction(1), "r")
+    assert list(row.coeffs.items()) == [(1, Fraction(-1)), (3, Fraction(2))]
+    assert row.support() == [(1, Fraction(-1)), (3, Fraction(2))]
+    assert Row(dict(enumerate([Fraction(0)] * 3)), Fraction(0), "empty").coeffs == {}
 
 
 def test_lp_dump_rejects_malformed():

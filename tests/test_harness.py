@@ -109,9 +109,7 @@ def test_canonical_json_containers():
 
 
 def _fast_config(**kwargs):
-    return PipelineConfig(
-        solver=SolverConfig(max_iter=6000, check_every=25), **kwargs
-    )
+    return PipelineConfig(solver=SolverConfig(max_iter=6000), **kwargs)
 
 
 def test_run_pipeline_chain_end_to_end():
@@ -161,7 +159,7 @@ def test_run_experiment_gap_suite():
     # the lifted gap3 SDP converges only after minutes (to ~2.0, closing the
     # 3/2 fractional gap), which belongs to the experiment CLI; here a capped
     # run checks the exact LP and OPT facts
-    capped = PipelineConfig(solver=SolverConfig(max_iter=40, check_every=40))
+    capped = PipelineConfig(solver=SolverConfig(max_iter=40))
     report = run_experiment("gap", capped)
     assert report["suite"] == "gap"
     (row,) = report["rows"]
