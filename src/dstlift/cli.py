@@ -160,6 +160,8 @@ def _oracle_for(args, layered):
 
 
 def _cmd_round(args) -> int:
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     layered = _load_layered(args.instance, args.ell)
     oracle = _oracle_for(args, layered)
     runs = []

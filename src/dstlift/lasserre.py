@@ -7,15 +7,17 @@ row over subsets of size at most t, all required positive semidefinite, with
 the empty set pinned to one.  Equalities arrive as opposite row pairs and
 force their shifted matrices to vanish.  One slot-map builder lays out every
 block as a linear map of the free values; the main block is the shift by the
-trivial row `0.x >= -1`.  This is a symbolic route of its own, kept apart
-from `moments.shift` so that the two can check each other.
+trivial row `0.x >= -1`.  The blocks are stacked into one affine map, the
+main block first, so the lift is a single cone.  This is a symbolic route of
+its own, kept apart from `moments.shift` so that the two can check each other.
 
-`solve` runs consensus ADMM with over-relaxation: a sparse SPD solve for the
-subset values, eigenvalue projections for the cone blocks (row blocks share a
-dimension and are projected in one batched call), and scaled-residual
-stopping.  Everything is deterministic for fixed inputs.  The result carries
-a float moment vector plus diagnostics including a projected dual bound; the
-certifier in `moments` is the authority on feasibility quality.
+`solve` runs consensus ADMM with over-relaxation on that one map: a sparse SPD
+solve for the subset values, one eigenvalue projection per block size (the
+blocks of a size go through one batched call, and blocks that are already PSD
+are kept as they are), and scaled-residual stopping.  Everything is
+deterministic for fixed inputs.  The result carries a float moment vector
+plus diagnostics including a projected dual bound; the certifier in `moments`
+is the authority on feasibility quality.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def resolve_budget(budget: int | None = None) -> int:
 
 def lift_dimensions(n_vars: int, level: int) -> dict[str, int]:
     """Block dimensions and variable count of the lift, no enumeration needed."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     main_dim = sum(math.comb(n_vars, s) for s in range(min(level + 1, n_vars) + 1))
     row_dim = sum(math.comb(n_vars, s) for s in range(min(level, n_vars) + 1))
     n_free = (
@@ -76,7 +80,11 @@ def lift_dimensions(n_vars: int, level: int) -> dict[str, int]:
 
 @dataclass
 class SdpProblem:
-    """Assembled lift: sparse slot maps per cone block plus the objective."""
+    """Assembled lift: the cone is `L @ x + C`, the objective `objective @ x`.
+
+    The main block's `main_dim**2` slots come first, then the `n_row_blocks`
+    row blocks of `row_dim**2` slots each, every block row-major.
+    """
 
     n_vars: int
     level: int
@@ -86,10 +94,8 @@ class SdpProblem:
     row_dim: int
     n_row_blocks: int
     row_labels: tuple[str, ...]
-    L_main: sp.csr_matrix = field(repr=False)
-    C_main: np.ndarray = field(repr=False)
-    L_rows: sp.csr_matrix = field(repr=False)
-    C_rows: np.ndarray = field(repr=False)
+    L: sp.csr_matrix = field(repr=False)
+    C: np.ndarray = field(repr=False)
     objective: np.ndarray = field(repr=False)
 
 
@@ -137,8 +143,6 @@ def assemble(
     arithmetically before anything is enumerated.
     """
     n = cs.n_vars
-    if level < 0:
-        raise ValueError("level must be nonnegative")
     dims = lift_dimensions(n, level)
     cap = resolve_budget(budget)
     if dims["main_dim"] > cap:
@@ -153,23 +157,18 @@ def assemble(
 
     free_sets = tuple(subsets_upto(n, min(2 * level + 2, n))[1:])
     col_of = {mask_of(s): i for i, s in enumerate(free_sets)}
-    n_free = len(free_sets)
 
-    # The main block is the shift by the trivial row 0.x >= -1.
-    masks1 = [mask_of(s) for s in subsets_upto(n, min(level + 1, n))]
-    L_main, C_main = _slot_map([([], -1.0)], masks1, col_of)
-    masks0 = [mask_of(s) for s in subsets_upto(n, min(level, n))]
-    L_rows, C_rows = _slot_map(
-        [
-            ([(i, float(a)) for i, a in row.coeffs.items()], float(row.rhs))
-            for row in cs.rows
-        ],
-        masks0,
-        col_of,
-    )
-    d1, d0 = len(masks1), len(masks0)
+    # The main block is the shift by the trivial row 0.x >= -1 over subsets
+    # of size <= level+1; the row blocks, over size <= level, follow it.
+    rows = [
+        ([(i, float(a)) for i, a in r.coeffs.items()], float(r.rhs)) for r in cs.rows
+    ]
+    parts = [
+        _slot_map(blocks, [mask_of(s) for s in subsets_upto(n, min(t, n))], col_of)
+        for blocks, t in (([([], -1.0)], level + 1), (rows, level))
+    ]
 
-    objective = np.zeros(n_free)
+    objective = np.zeros(len(free_sets))
     for i, c in enumerate(cs.objective):
         if c != 0:
             objective[col_of[1 << i]] = float(c)
@@ -178,14 +177,12 @@ def assemble(
         level=level,
         free_sets=free_sets,
         col_of=col_of,
-        main_dim=d1,
-        row_dim=d0,
+        main_dim=dims["main_dim"],
+        row_dim=dims["row_dim"],
         n_row_blocks=len(cs.rows),
         row_labels=tuple(row.label for row in cs.rows),
-        L_main=L_main,
-        C_main=C_main.reshape(d1, d1),
-        L_rows=L_rows,
-        C_rows=C_rows,
+        L=sp.vstack([L for L, _ in parts], format="csr"),
+        C=np.concatenate([C for _, C in parts]),
         objective=objective,
     )
 
@@ -246,24 +243,19 @@ def _factor_gram(G: sp.csc_matrix):
     return solve
 
 
-def _project_psd(mat: np.ndarray) -> np.ndarray:
-    mat = (mat + mat.T) / 2.0
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] >= 0:
-        return mat
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.T
-
-
 def _project_psd_batch(stack: np.ndarray) -> np.ndarray:
+    """Project each `d x d` block of a stack onto the PSD cone; a block that
+    is already PSD comes back as its symmetrization, not a reconstruction."""
     if stack.shape[0] == 0:
         return stack
     if stack.shape[1] == 1:
         return np.clip(stack, 0.0, None)
     sym = (stack + stack.transpose(0, 2, 1)) / 2.0
     vals, vecs = np.linalg.eigh(sym)
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped[:, None, :]) @ vecs.transpose(0, 2, 1)
+    bad = vals[:, 0] < 0
+    v, w = vecs[bad], np.clip(vals[bad], 0.0, None)
+    sym[bad] = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+    return sym
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -276,87 +268,60 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     cfg = config or SolverConfig()
     d1, d0, nblk = problem.main_dim, problem.row_dim, problem.n_row_blocks
     n_free = len(problem.free_sets)
-    LM = problem.L_main
-    LR = problem.L_rows
-    LMT = LM.T.tocsr()
-    LRT = LR.T.tocsr()
-    CM = problem.C_main
-    CR = problem.C_rows.reshape(nblk, d0, d0) if nblk else np.zeros((0, d0, d0))
+    L, C = problem.L, problem.C
+    LT = L.T.tocsr()
+    split = d1 * d1
+
+    def project(v: np.ndarray) -> np.ndarray:
+        head = _project_psd_batch(v[:split].reshape(1, d1, d1))
+        rest = _project_psd_batch(v[split:].reshape(nblk, d0, d0))
+        return np.concatenate([head.ravel(), rest.ravel()])
 
     scale = max(1.0, float(np.max(np.abs(problem.objective))) if n_free else 1.0)
     c = problem.objective / scale
 
-    G = (LMT @ LM + LRT @ LR).tocsc()
-    solve_gram = _factor_gram(G)
+    solve_gram = _factor_gram((LT @ L).tocsc())
 
     x = np.zeros(n_free)
-    zM = np.zeros((d1, d1))
-    zR = np.zeros((nblk, d0, d0))
-    uM = np.zeros_like(zM)
-    uR = np.zeros_like(zR)
+    z = np.zeros(L.shape[0])
+    u = np.zeros_like(z)
     rho = RHO_START
-    total_slots = d1 * d1 + nblk * d0 * d0
 
     it = 0
     converged = False
     r_norm = s_norm = float("nan")
     for it in range(1, cfg.max_iter + 1):
-        rhs = (
-            LMT @ (zM - uM - CM).ravel()
-            + LRT @ (zR - uR - CR).ravel()
-            - c / rho
-        )
-        x = solve_gram(rhs)
-        axM = np.asarray(LM @ x).reshape(d1, d1) + CM
-        axR = np.asarray(LR @ x).reshape(nblk, d0, d0) + CR
-        hM = OVER_RELAX * axM + (1.0 - OVER_RELAX) * zM
-        hR = OVER_RELAX * axR + (1.0 - OVER_RELAX) * zR
-        zM_new = _project_psd(hM + uM)
-        zR_new = _project_psd_batch(hR + uR)
-        uM = uM + hM - zM_new
-        uR = uR + hR - zR_new
+        x = solve_gram(LT @ (z - u - C) - c / rho)
+        ax = L @ x + C
+        h = OVER_RELAX * ax + (1.0 - OVER_RELAX) * z
+        z_new = project(h + u)
+        u = u + h - z_new
 
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
-            rM = axM - zM_new
-            rR = axR - zR_new
-            r_norm = math.sqrt(float(np.sum(rM * rM) + np.sum(rR * rR)))
-            dzM = (zM_new - zM).ravel()
-            dzR = (zR_new - zR).ravel()
-            s_vec = rho * (LMT @ dzM + LRT @ dzR)
-            s_norm = float(np.linalg.norm(s_vec))
-            ax_norm = math.sqrt(float(np.sum(axM * axM) + np.sum(axR * axR)))
-            z_norm = math.sqrt(
-                float(np.sum(zM_new * zM_new) + np.sum(zR_new * zR_new))
+            r_norm = float(np.linalg.norm(ax - z_new))
+            s_norm = float(np.linalg.norm(rho * (LT @ (z_new - z))))
+            eps_pri = cfg.tol * math.sqrt(len(z)) + cfg.tol * max(
+                float(np.linalg.norm(ax)), float(np.linalg.norm(z_new))
             )
-            eps_pri = cfg.tol * math.sqrt(total_slots) + cfg.tol * max(
-                ax_norm, z_norm
-            )
-            dual_ref = rho * (LMT @ uM.ravel() + LRT @ uR.ravel())
             eps_dual = cfg.tol * math.sqrt(max(n_free, 1)) + cfg.tol * float(
-                np.linalg.norm(dual_ref)
+                np.linalg.norm(rho * (LT @ u))
             )
             if r_norm <= eps_pri and s_norm <= eps_dual:
-                zM, zR = zM_new, zR_new
                 converged = True
                 break
             if it % 100 == 0 and it < 0.8 * cfg.max_iter:
                 if r_norm > 10.0 * s_norm and rho < 1.0e6:
                     rho *= 2.0
-                    uM /= 2.0
-                    uR /= 2.0
+                    u /= 2.0
                 elif s_norm > 10.0 * r_norm and rho > 1.0e-6:
                     rho /= 2.0
-                    uM *= 2.0
-                    uR *= 2.0
-        zM, zR = zM_new, zR_new
+                    u *= 2.0
+        z = z_new
 
     objective = float(problem.objective @ x)
-    YM = _project_psd(-rho * uM)
-    YR = _project_psd_batch(-rho * uR)
-    dual_objective = -float(np.sum(CM * YM) + np.sum(CR.ravel() * YR.ravel())) * scale
-    dual_infeas = float(
-        np.linalg.norm((LMT @ YM.ravel() + LRT @ YR.ravel()) * scale - problem.objective)
-    )
+    Y = project(-rho * u)
+    dual_objective = -float(C @ Y) * scale
+    dual_infeas = float(np.linalg.norm((LT @ Y) * scale - problem.objective))
     entries: dict[IndexSet, float] = {(): 1.0}
     for s, xi in zip(problem.free_sets, x):
         entries[s] = float(xi)

@@ -188,23 +188,22 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
     exact = y.exact and not isinstance(rhs, float) and all(
         not isinstance(a, float) for _, a in support
     )
-    if exact:
-        conv = Fraction
-    else:
-        conv = float
+    # Only the row is converted: a Fraction coefficient keeps int entries of
+    # an exact vector exact, and a float one turns every product into the
+    # float that converting the entry first would give.
+    conv = Fraction if exact else float
     neg_rhs = -conv(rhs)
     support = [(1 << i, conv(a)) for i, a in support]
     out: dict[IndexSet, Value] = {}
-    for key, base in y.entries.items():
-        mask = mask_of(key)
-        total = neg_rhs * conv(base)
+    for key, (mask, base) in zip(y.entries, me.items()):
+        total = neg_rhs * base
         ok = True
         for bit, a in support:
             hit = me.get(mask | bit)
             if hit is None:
                 ok = False
                 break
-            total += a * conv(hit)
+            total += a * hit
         if ok:
             out[key] = total
     return MomentVector(y.n_vars, y.level, out, exact=exact)

@@ -348,36 +348,32 @@ def collect_stats(
             )
         )
 
+    # Every enumerated path, then sampled full paths outside that list.
+    listed = [
+        (s, record.edges)
+        for s in graph.terminals
+        for record in enumerate_paths(layered, s)
+    ]
+    covered = {path for _, path in listed}
+    listed += [
+        (path[-1][1], path)
+        for path in sorted(path_hits)
+        if path not in covered and path[-1][1] in terminal_of_level
+    ]
     path_rows = []
-    for s in graph.terminals:
-        for record in enumerate_paths(layered, s):
-            path = record.edges
-            hits = path_hits.get(path, 0)
-            freq = hits / trials
-            path_rows.append(
-                PathStats(
-                    terminal=s,
-                    path=path,
-                    oracle_value=oracle.query(frozenset(path)),
-                    hits=hits,
-                    frequency=freq,
-                    se=math.sqrt(max(freq * (1 - freq), 0.0) / trials),
-                )
+    for s, path in listed:
+        hits = path_hits.get(path, 0)
+        freq = hits / trials
+        path_rows.append(
+            PathStats(
+                terminal=s,
+                path=path,
+                oracle_value=oracle.query(frozenset(path)),
+                hits=hits,
+                frequency=freq,
+                se=math.sqrt(max(freq * (1 - freq), 0.0) / trials),
             )
-    covered = {row.path for row in path_rows}
-    for path, hits in sorted(path_hits.items()):
-        if path not in covered and path[-1][1] in terminal_of_level:
-            freq = hits / trials
-            path_rows.append(
-                PathStats(
-                    terminal=path[-1][1],
-                    path=path,
-                    oracle_value=oracle.query(frozenset(path)),
-                    hits=hits,
-                    frequency=freq,
-                    se=math.sqrt(max(freq * (1 - freq), 0.0) / trials),
-                )
-            )
+        )
 
     edge_rows = []
     frac_cost = 0.0

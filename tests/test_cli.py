@@ -274,5 +274,15 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = run_cli(["exact", str(tmp_path / "missing.dst")], capsys)
     assert code == 2 and "error:" in err
+    diamond = tmp_path / "diamond.dst"
+    diamond.write_text(format_instance(tiny_diamond()))
+    moments_file = tmp_path / "diamond.mv"
+    moments_file.write_text(diamond_moments_text())
+    for command in ("round", "stats"):
+        argv = [command, str(diamond), "--moments", str(moments_file), "--trials", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: need at least one trial\n")
+    code, out, err = run_cli(["lift-dim", str(diamond), "--t", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: level must be nonnegative\n")
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -17,6 +17,7 @@ from dstlift.instance import as_layered
 from dstlift.lasserre import (
     BudgetError,
     SolverConfig,
+    _project_psd_batch,
     assemble,
     lift_dimensions,
     resolve_budget,
@@ -42,6 +43,13 @@ def test_lift_dimensions_match_enumeration(n, level):
     assert dims["main_dim"] == len(subsets_upto(n, min(level + 1, n)))
     assert dims["row_dim"] == len(subsets_upto(n, min(level, n)))
     assert dims["n_free"] == len(subsets_upto(n, min(2 * level + 2, n))) - 1
+
+
+def test_negative_level_rejected():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        lift_dimensions(3, -1)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        assemble(_empty_system(3), -1)
 
 
 def _empty_system(n_vars):
@@ -128,15 +136,14 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
     y = from_distribution(dist, level)
     x = np.array([float(y.value(s)) for s in prob.free_sets])
 
-    lifted_main = (prob.L_main @ x).reshape(
-        prob.main_dim, prob.main_dim
-    ) + prob.C_main
+    lifted = prob.L @ x + prob.C
+    split = prob.main_dim**2
+    assert lifted.shape == (split + prob.n_row_blocks * prob.row_dim**2,)
+    lifted_main = lifted[:split].reshape(prob.main_dim, prob.main_dim)
     direct_main = _float_grid(moment_matrix(y, level + 1))
     assert np.allclose(lifted_main, direct_main)
 
-    lifted_rows = (prob.L_rows @ x + prob.C_rows).reshape(
-        prob.n_row_blocks, prob.row_dim, prob.row_dim
-    )
+    lifted_rows = lifted[split:].reshape(prob.n_row_blocks, prob.row_dim, prob.row_dim)
     for b, row in enumerate(rows):
         z = shift(row.coeffs, row.rhs, y)
         direct = _float_grid(moment_matrix(z, level))
@@ -146,6 +153,27 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
     for i, c in enumerate(cs.objective):
         col = prob.col_of[1 << i]
         assert prob.objective[col] == float(c)
+
+
+def test_project_psd_batch_keeps_psd_blocks_and_clips_the_rest():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 4))
+    psd = a @ a.T + 0.5 * np.eye(4)
+    psd[0, 1] += 1e-3  # slightly asymmetric: the result is its symmetrization
+    indefinite = np.diag([2.0, 1.0, -1.0, -3.0])
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    indefinite = q @ indefinite @ q.T
+    out = _project_psd_batch(np.stack([psd, indefinite]))
+
+    assert np.array_equal(out[0], (psd + psd.T) / 2.0)
+    vals, vecs = np.linalg.eigh(indefinite)
+    clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    assert np.allclose(out[1], clipped, atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(out[1]), [0.0, 0.0, 1.0, 2.0], atol=1e-12)
+
+    # 1x1 blocks take the clip path
+    ones = np.array([[[2.5]], [[-0.5]], [[0.0]]])
+    assert np.array_equal(_project_psd_batch(ones), [[[2.5]], [[0.0]], [[0.0]]])
 
 
 def _layered_lp(inst):
