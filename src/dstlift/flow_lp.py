@@ -9,7 +9,10 @@ Constraint systems are rows `a . x >= b` over Fraction coefficients, each
 row holding only its nonzero coefficients.  Dense vectors appear only in the
 `.lp` dump, which writes every coefficient, and in the simplex tableau.
 `solve_lp` is a two-phase tableau simplex with Bland's rule, running entirely
-in rational arithmetic, so optima are exact.
+in rational arithmetic, so optima are exact.  Each pivot updates the other
+rows only at the pivot row's nonzeros (the flow-LP tableau stays sparse); the
+skipped entries would be unchanged, so the pivots are those of the dense
+update.
 """
 
 from __future__ import annotations
@@ -248,16 +251,16 @@ def _simplex(cs: ConstraintSystem):
         line = [zero] * width
         if b > 0:
             for j, a in coeffs.items():
-                line[j] = a
+                line[j] = Fraction(a)
             line[n + i] = -one
             line[art_col[i]] = one
-            line[-1] = b
+            line[-1] = Fraction(b)
             basis.append(art_col[i])
         else:
             for j, a in coeffs.items():
-                line[j] = -a
+                line[j] = Fraction(-a)
             line[n + i] = one
-            line[-1] = -b
+            line[-1] = Fraction(-b)
             basis.append(n + i)
         tab.append(line)
 
@@ -273,18 +276,24 @@ def _simplex(cs: ConstraintSystem):
         return z
 
     def pivot(r, j):
+        # Only the pivot row's nonzeros can change another row: every other
+        # entry k already equals other[k] - f * 0, so the update skips it.
         line = tab[r]
         piv = line[j]
         if piv != 1:
             inv = one / piv
-            tab[r] = line = [v * inv for v in line]
+            for k, v in enumerate(line):
+                if v:
+                    line[k] = v * inv
+        nonzeros = [(k, v) for k, v in enumerate(line) if v]
         for i in range(m):
             if i == r:
                 continue
-            f = tab[i][j]
+            other = tab[i]
+            f = other[j]
             if f:
-                other = tab[i]
-                tab[i] = [other[k] - f * line[k] for k in range(width)]
+                for k, v in nonzeros:
+                    other[k] -= f * v
         basis[r] = j
 
     def optimize(z, allowed):

@@ -263,9 +263,12 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     The iteration is deterministic; `diagnostics` records residuals, the
     objective, a projected dual bound with its infeasibility, and whether the
-    tolerances were met within the iteration cap.
+    tolerances were met within the iteration cap.  A cap below one iteration
+    raises `ValueError`.
     """
     cfg = config or SolverConfig()
+    if cfg.max_iter < 1:
+        raise ValueError("need at least one iteration")
     d1, d0, nblk = problem.main_dim, problem.row_dim, problem.n_row_blocks
     n_free = len(problem.free_sets)
     L, C = problem.L, problem.C

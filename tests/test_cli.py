@@ -5,10 +5,15 @@ match byte for byte.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dstlift
 from dstlift.cli import main
 from dstlift.flow_lp import build_flow_lp, format_lp_dump, parse_lp_dump
 from dstlift.instance import as_layered, format_instance, parse_instance
@@ -284,5 +289,22 @@ def test_error_exit_codes(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: need at least one trial\n")
     code, out, err = run_cli(["lift-dim", str(diamond), "--t", "-1"], capsys)
     assert (code, out, err) == (2, "", "error: level must be nonnegative\n")
+    argv = ["lift-solve", str(diamond), "--t", "1", "--max-iter", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "error: need at least one iteration\n")
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(dstlift.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dstlift", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dstlift")

@@ -18,6 +18,7 @@ from dstlift import (
     solve_lp,
 )
 from dstlift.flow_lp import ConstraintSystem, Row
+from dstlift.harness import gap_instance
 
 from conftest import lp_feasible, tiny_chain, tiny_diamond
 
@@ -75,6 +76,19 @@ def test_simplex_agrees_with_scipy(seed):
         pytest.fail(f"unexpected status {mine.status}")
 
 
+def test_simplex_returns_fractions_for_int_coefficients():
+    cs = ConstraintSystem(
+        2,
+        (Row({0: 1, 1: 1}, 1, "a"), Row({0: -1}, -1, "b"), Row({1: -1}, -1, "c")),
+        (2, 3),
+    )
+    solution = solve_lp(cs)
+    assert solution.status == "optimal"
+    assert solution.values == (1, 0) and solution.objective == 2
+    assert all(type(v) is Fraction for v in solution.values)
+    assert type(solution.objective) is Fraction
+
+
 def test_simplex_detects_unbounded():
     cs = ConstraintSystem(
         n_vars=1,
@@ -124,6 +138,45 @@ def test_reference_lp_value(reference_lp):
     assert solution.status == "optimal"
     # frozen regression value: the relaxation is tight on the reference graph
     assert solution.objective == Fraction(19)
+
+
+# The optimal vertex Bland's pivots reach, as the tags of its nonzero
+# coordinates.  The reference vertex is the optimal tree at value 1; gap4 is
+# degenerate (optimum 4/3) and its vertex puts 1/3 on every edge and on each
+# terminal's three routes.
+PINNED_LP_VERTICES = {
+    "reference": (
+        Fraction(1),
+        """e[r->u1] e[r->u3] e[u1->v1] e[u1->v2] e[u3->v4] e[v1->s1] e[v2->s2]
+        e[v2->s3] e[v4->s4] f[s1][r->u1] f[s1][u1->v1] f[s1][v1->s1]
+        f[s2][r->u1] f[s2][u1->v2] f[s2][v2->s2] f[s3][r->u1] f[s3][u1->v2]
+        f[s3][v2->s3] f[s4][r->u3] f[s4][u3->v4] f[s4][v4->s4]""",
+    ),
+    "gap4": (
+        Fraction(1, 3),
+        """e[S0->e0] e[S0->e1] e[S0->e2] e[S1->e0] e[S1->e1] e[S1->e3]
+        e[S2->e0] e[S2->e2] e[S2->e3] e[S3->e1] e[S3->e2] e[S3->e3]
+        e[r->S0] e[r->S1] e[r->S2] e[r->S3]
+        f[e0][S0->e0] f[e0][S1->e0] f[e0][S2->e0]
+        f[e0][r->S0] f[e0][r->S1] f[e0][r->S2]
+        f[e1][S0->e1] f[e1][S1->e1] f[e1][S3->e1]
+        f[e1][r->S0] f[e1][r->S1] f[e1][r->S3]
+        f[e2][S0->e2] f[e2][S2->e2] f[e2][S3->e2]
+        f[e2][r->S0] f[e2][r->S2] f[e2][r->S3]
+        f[e3][S1->e3] f[e3][S2->e3] f[e3][S3->e3]
+        f[e3][r->S1] f[e3][r->S2] f[e3][r->S3]""",
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(PINNED_LP_VERTICES))
+def test_lp_vertex_is_pinned(which, reference_instance):
+    inst = reference_instance if which == "reference" else gap_instance(4)
+    cs, vmap = build_flow_lp(as_layered(inst))
+    solution = solve_lp(cs)
+    got = {vmap.by_ordinal(i).tag: v for i, v in enumerate(solution.values) if v}
+    value, tags = PINNED_LP_VERTICES[which]
+    assert got == dict.fromkeys(tags.split(), value)
 
 
 def test_lp_lower_bounds_optimum():
@@ -241,8 +294,9 @@ def test_lp_feasible_pinning():
 def test_levelized_lp_weakly_decreases_with_depth(reference_instance):
     # more levels can only help the relaxation reach the true optimum
     values = []
-    for ell in (1, 2):
+    for ell in (1, 2, 3):
         layered = levelize(reference_instance, ell, prune=True)
         cs, _ = build_flow_lp(layered)
         values.append(solve_lp(cs).objective)
     assert all(v is not None for v in values)
+    assert values == sorted(values, reverse=True)
