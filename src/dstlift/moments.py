@@ -12,8 +12,9 @@ propagation laws a lifted relaxation must satisfy.
 matrices: the certifier builds the block of row g as
 `moment_matrix(shift(g, y), level)`.
 
-Rational entries are handled exactly (including exact PSD via pivoted Schur
-elimination); float entries go through numpy with explicit tolerances.
+Rational entries are handled exactly: the certifier scales each exact block
+to ints, tests it by fraction-free elimination and gives its witness back as
+a `Fraction`.  Float entries go through numpy with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -158,17 +159,11 @@ def moment_matrix(y: MomentVector, size: int) -> MomentMatrix:
     sets = subsets_upto(y.n_vars, size)
     masks = [mask_of(s) for s in sets]
     me = y.mask_entries()
-    grid = []
-    for i, mi in enumerate(masks):
-        line = []
-        for mj in masks:
-            key = mi | mj
-            try:
-                line.append(me[key])
-            except KeyError:
-                raise MissingMomentError(set_of(key, y.n_vars)) from None
-        grid.append(tuple(line))
-    return MomentMatrix(tuple(sets), tuple(grid))
+    try:
+        grid = tuple(tuple([me[mi | mj] for mj in masks]) for mi in masks)
+    except KeyError as exc:
+        raise MissingMomentError(set_of(exc.args[0], y.n_vars)) from None
+    return MomentMatrix(tuple(sets), grid)
 
 
 def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVector:
@@ -189,9 +184,10 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
         not isinstance(a, float) for _, a in support
     )
     # Only the row is converted: a Fraction coefficient keeps int entries of
-    # an exact vector exact, and a float one turns every product into the
-    # float that converting the entry first would give.
-    conv = Fraction if exact else float
+    # an exact vector exact, an int one keeps them ints, and a float one
+    # turns every product into the float that converting the entry first
+    # would give.
+    conv = (lambda a: a if isinstance(a, int) else Fraction(a)) if exact else float
     neg_rhs = -conv(rhs)
     support = [(1 << i, conv(a)) for i, a in support]
     out: dict[IndexSet, Value] = {}
@@ -522,39 +518,52 @@ def reconstruction_deviation(dec: Decomposition, y: MomentVector) -> Value:
     return dev
 
 
-def _psd_violation_exact(grid: Sequence[Sequence[Fraction]]) -> tuple[str, Fraction] | None:
-    """Schur-complement elimination: None when PSD, else (reason, witness value).
+def _psd_violation_exact(
+    grid: Sequence[Sequence[Union[int, Fraction]]], scale: int = 1
+) -> tuple[str, Fraction] | None:
+    """Fraction-free symmetric elimination: None when PSD, else (reason, witness).
 
-    A symmetric rational matrix is PSD iff elimination only meets nonnegative
-    pivots and each zero pivot has an all-zero active row.  Cost is quadratic
-    per positive pivot, so low-rank matrices are cheap regardless of size.
+    A symmetric rational matrix is PSD iff elimination in index order only
+    meets nonnegative pivots and each zero pivot has an all-zero active row.
+    The test runs on ints (Bareiss 1968): an int grid is `scale` times the
+    matrix judged, and a `Fraction` grid is first scaled to ints by the lcm
+    of its denominators.  Every entry is then a minor over the positive
+    pivots taken so far, and `Fraction(entry, prev * scale)`, with `prev`
+    the last positive pivot, is its Schur-complement value: the witness.
+    Cost is quadratic per positive pivot, so low-rank matrices are cheap.
     """
-    d = len(grid)
-    work = [list(row) for row in grid]
-    active = list(range(d))
-    while active:
-        p = active[0]
-        pivot = work[p][p]
+    # An all-zero row stays zero under elimination and never gives a witness.
+    keep = [i for i, row in enumerate(grid) if any(row)]
+    # Symmetric: row a holds the entries of columns keep[a:] only.
+    tri = [[grid[i][j] for j in keep[a:]] for a, i in enumerate(keep)]
+    den = math.lcm(*(v.denominator for row in tri for v in row))
+    if den != 1:
+        tri = [[v.numerator * (den // v.denominator) for v in row] for row in tri]
+        scale *= den
+    prev = 1
+    while tri:
+        head = tri[0]
+        pivot = head[0]
         if pivot < 0:
-            return ("negative diagonal", pivot)
+            return ("negative diagonal", Fraction(pivot, prev * scale))
         if pivot == 0:
-            row = work[p]
-            for q in active:
-                if row[q] != 0:
+            for v in head:
+                if v:
                     # 2x2 principal minor [[0, a], [a, d]] has determinant -a^2
-                    return ("zero diagonal with nonzero row", row[q])
-            active.pop(0)
+                    return ("zero diagonal with nonzero row", Fraction(v, prev * scale))
+            del tri[0]
             continue
-        active.pop(0)
-        prow = work[p]
-        for i in active:
-            f = work[i][p]
-            if f:
-                ratio = f / pivot
-                wrow = work[i]
-                for j in active:
-                    if prow[j]:
-                        wrow[j] -= ratio * prow[j]
+        new = []
+        for a in range(1, len(tri)):
+            row, f, tail = tri[a], head[a], head[a:]
+            out = [(pivot * x - f * z) // prev for x, z in zip(row, tail)]
+            # Sylvester's identity makes every division exact.  Floor
+            # remainders are nonnegative, so the quotients sum back to the
+            # numerators' sum iff each remainder is zero.
+            assert pivot * sum(row) - f * sum(tail) == prev * sum(out)
+            new.append(out)
+        tri = new
+        prev = pivot
     return None
 
 
@@ -620,9 +629,9 @@ def certify(
     if norm_gap > eps:
         issues.append(CertifyIssue("normalization", "empty set", norm_gap))
 
-    def check_psd(grid, where: str) -> None:
+    def check_psd(grid, where: str, scale: int = 1) -> None:
         if exact:
-            bad = _psd_violation_exact(grid)
+            bad = _psd_violation_exact(grid, scale)
         else:
             bad = _psd_violation_float(grid, tol)
         if bad is not None:
@@ -631,19 +640,29 @@ def certify(
     check_psd(moment_matrix(y, min(level + 1, n)).grid, "main matrix")
     checks["psd_main"] = 1
     # A row block reads the shift on sets of size <= 2t, which needs y only up
-    # to size 2t+1: shift a copy cut there instead of every stored entry.
+    # to size 2t+1: shift a copy cut there instead of every stored entry.  An
+    # exact copy is scaled to ints by the lcm D of its denominators, and each
+    # row by the lcm E of its own, so the block is built and tested in ints;
+    # a positive scale leaves PSD-ness unchanged.
     t = min(level, n)
-    cut = MomentVector(
-        n,
-        y.level,
-        {k: v for k, v in y.entries.items() if len(k) <= 2 * t + 1},
-        exact=exact,
-    )
+    cut = {k: v for k, v in y.entries.items() if len(k) <= 2 * t + 1}
+    y_scale = 1
+    if exact:
+        y_scale = math.lcm(*(v.denominator for v in cut.values()))
+        cut = {k: v.numerator * (y_scale // v.denominator) for k, v in cut.items()}
+    cut_y = MomentVector(n, y.level, cut, exact=exact)
     n_rows = 0
     for row in rows:
         n_rows += 1
-        shifted = moment_matrix(shift(row.coeffs, row.rhs, cut), t)
-        check_psd(shifted.grid, f"shifted matrix {row.label}")
+        coeffs, rhs, scale = row.coeffs, row.rhs, y_scale
+        if exact:
+            # Fraction(a) is exact for a float too, a dyadic rational, so a
+            # float row is judged at tolerance zero without roundoff.
+            e = math.lcm(*(Fraction(a).denominator for a in (rhs, *coeffs.values())))
+            coeffs = {i: int(Fraction(a) * e) for i, a in coeffs.items()}
+            rhs, scale = int(Fraction(rhs) * e), scale * e
+        shifted = moment_matrix(shift(coeffs, rhs, cut_y), t)
+        check_psd(shifted.grid, f"shifted matrix {row.label}", scale)
     checks["psd_shifted"] = n_rows
 
     mono = 0

@@ -187,6 +187,40 @@ def test_check_flags_corruption(
     assert json.loads(out)["ok"] is False
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "case, edits, extra_row",
+    [
+        # 1/2 e[r->a] + 1/3 e[r->b] >= 1/4: its block is scaled by 12 and
+        # fails with a negative diagonal once e[r->b] drops to 2/3.
+        ("check_row_block", {"3": "2/3"}, "ge 0 0 1/2 1/3 0 0 0 0 1/4 mix"),
+        # The main block fails at a later pivot, with witness -3/44.
+        ("check_main_block", {"0 1": "1/10"}, None),
+    ],
+)
+def test_check_failure_bytes_are_pinned(case, edits, extra_row, tmp_path, capsys):
+    """`check` output of corrupted exact vectors, recorded from the rational
+    Schur elimination that the integer test replaced: the witnesses convert
+    back from the scaled ints to the same `Fraction`s."""
+    lines = []
+    for line in diamond_moments_text().splitlines():
+        key = line.split(":", 1)[0].strip()
+        lines.append(f"{key} : {edits[key]}" if key in edits else line)
+    bad = tmp_path / "bad.mv"
+    bad.write_text("\n".join(lines) + "\n")
+    cs, _ = build_flow_lp(as_layered(tiny_diamond()))
+    dump = format_lp_dump(cs).splitlines()
+    if extra_row:
+        dump = [f"lpdump {cs.n_vars} {len(cs.rows) + 1}", dump[1], extra_row] + dump[2:]
+    system = tmp_path / "system.lpdump"
+    system.write_text("\n".join(dump) + "\n")
+    code, out, _ = run_twice(["check", str(bad), str(system), "--t", "1"], capsys)
+    assert code == 1
+    assert out == (GOLDEN / f"{case}.json").read_text()
+
+
 def test_round(diamond_file, diamond_moments, tmp_path, capsys):
     out_file = tmp_path / "round.json"
     argv = [

@@ -1,12 +1,13 @@
 """Moment toolkit: transforms, conditioning, decomposition, certification.
 
 The independent oracles here are (a) direct probability computations on
-explicit distributions, (b) numpy eigenvalues for rational PSD questions,
-and (c) the algebraic inclusion-exclusion identities evaluated on arbitrary
-(not necessarily feasible) vectors.
+explicit distributions, (b) numpy eigenvalues and rational Schur elimination
+for rational PSD questions, and (c) the algebraic inclusion-exclusion
+identities evaluated on arbitrary (not necessarily feasible) vectors.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -290,6 +291,125 @@ def test_exact_psd_checker_agrees_with_numpy(seed):
         pytest.fail(f"exact says not PSD, numpy min eig {eigs[0]}")
     if eigs[0] < -1e-7 * scale and verdict:
         pytest.fail(f"exact says PSD, numpy min eig {eigs[0]}")
+
+
+def _schur_reference(grid):
+    """Rational Schur-complement elimination, the reference for the int test."""
+    d = len(grid)
+    work = [list(row) for row in grid]
+    active = list(range(d))
+    while active:
+        p = active[0]
+        pivot = work[p][p]
+        if pivot < 0:
+            return ("negative diagonal", pivot)
+        if pivot == 0:
+            row = work[p]
+            for q in active:
+                if row[q] != 0:
+                    return ("zero diagonal with nonzero row", row[q])
+            active.pop(0)
+            continue
+        active.pop(0)
+        prow = work[p]
+        for i in active:
+            f = work[i][p]
+            if f:
+                ratio = f / pivot
+                wrow = work[i]
+                for j in active:
+                    if prow[j]:
+                        wrow[j] -= ratio * prow[j]
+    return None
+
+
+def _gram(cols):
+    return [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in cols] for u in cols]
+
+
+def _reference_case(rng, kind):
+    def vec(r):
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+
+    if kind == "low-rank":
+        r = rng.randint(1, 3)
+        return _gram([vec(r) for _ in range(rng.randint(r, 7))])
+    if kind == "random":
+        d = rng.randint(2, 6)
+        grid = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)]
+        return [[grid[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+    # Index 1 depends on index 0 and index 2 is zero, so after the first
+    # pivot two zero pivots with zero rows are skipped, and more positive
+    # pivots divide by the pivot taken before the skips.
+    c0 = vec(4)
+    while not any(c0):
+        c0 = vec(4)
+    lam = Fraction(rng.randint(1, 3), 2)
+    cols = [c0, [lam * a for a in c0], [Fraction(0)] * 4]
+    cols += [vec(4) for _ in range(rng.randint(2, 4))]
+    grid = _gram(cols)
+    if kind == "zero-pivot-nonzero-row":
+        j = rng.randrange(3, len(grid))
+        grid[1][j] += Fraction(1, rng.randint(1, 5))
+        grid[j][1] = grid[1][j]
+    elif kind == "negative-pivot":
+        k = rng.randrange(3, len(grid))
+        grid[k][k] -= grid[k][k] + Fraction(1, rng.randint(1, 5))
+    return grid
+
+
+REFERENCE_KINDS = (
+    "low-rank",
+    "zero-pivot-zero-row",
+    "zero-pivot-nonzero-row",
+    "negative-pivot",
+    "random",
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_psd_matches_schur_reference(seed):
+    kind = REFERENCE_KINDS[seed % len(REFERENCE_KINDS)]
+    grid = _reference_case(random.Random(seed), kind)
+    want = _schur_reference(grid)
+    if kind == "zero-pivot-zero-row":
+        assert want is None
+    if kind in ("zero-pivot-nonzero-row", "negative-pivot"):
+        assert want is not None
+    got = moments._psd_violation_exact(grid)
+    assert got == want
+    if want is not None:
+        assert type(got[1]) is Fraction
+    # The route certify takes: the grid already scaled to ints.
+    den = math.lcm(*(v.denominator for row in grid for v in row))
+    ints = [[int(v * den) for v in row] for row in grid]
+    assert moments._psd_violation_exact(ints, den) == want
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[], [[Fraction(3, 7)]], [[Fraction(0)]], [[Fraction(-2, 9)]]],
+    ids=["0x0", "1x1-positive", "1x1-zero", "1x1-negative"],
+)
+def test_exact_psd_matches_schur_reference_on_tiny_grids(grid):
+    assert moments._psd_violation_exact(grid) == _schur_reference(grid)
+
+
+def test_exact_vector_judges_a_float_row_exactly():
+    # x5 = 1 at every point, so x5 >= rhs holds for every rhs below one.
+    # Shifted in floats, these blocks failed by roundoff at tolerance zero.
+    rng = random.Random(5)
+    points = [tuple(rng.randint(0, 1) for _ in range(5)) + (1,) for _ in range(4)]
+    y = from_distribution([(Fraction(w, 10), p) for w, p in zip((1, 2, 3, 4), points)], 2)
+    for rhs in (0.1, 0.2, 0.3, 0.35, 0.55, 0.7, 0.9):
+        report = certify(y, 2, [Row({5: 1.0}, rhs, "x5>=rhs")])
+        assert report.ok, (rhs, report.issues)
+    # A violated float row gets its exact witness: x5 <= 0.9 at x5 = 1.
+    report = certify(y, 2, [Row({5: -1.0}, -0.9, "x5<=0.9")])
+    assert [(i.kind, i.amount) for i in report.issues] == [
+        ("psd", Fraction(0.9) - 1)
+    ]
+    assert type(report.issues[0].amount) is Fraction
 
 
 def test_certify_accepts_distributions_with_rows():
