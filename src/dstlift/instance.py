@@ -271,56 +271,64 @@ class ClosurePath:
     edges: tuple[EdgeId, ...]
 
 
+def _cheapest_from(inst: DstInstance, source: str) -> dict[str, ClosurePath]:
+    """Dijkstra from `source`: a cheapest path to every other reachable node."""
+    dist: dict[str, Fraction] = {source: Fraction(0)}
+    parent: dict[str, EdgeId] = {}
+    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    done: set[str] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for edge in inst.out_edges[v]:
+            head = edge[1]
+            nd = d + inst.cost(edge)
+            # strict improvement only: keeps the parent forest acyclic;
+            # witness choice is still deterministic because edges are
+            # visited in canonical order
+            if head not in dist or nd < dist[head]:
+                dist[head] = nd
+                parent[head] = edge
+                heapq.heappush(heap, (nd, head))
+    out: dict[str, ClosurePath] = {}
+    for target in done:
+        if target == source:
+            continue
+        chain: list[EdgeId] = []
+        v = target
+        while v != source:
+            edge = parent[v]
+            chain.append(edge)
+            v = edge[0]
+        chain.reverse()
+        out[target] = ClosurePath(dist[target], tuple(chain))
+    return out
+
+
 def metric_closure(inst: DstInstance) -> dict[EdgeId, ClosurePath]:
     """All-pairs cheapest directed paths with witness edge sequences.
 
     Only finite, off-diagonal pairs appear in the result.  Ties are broken
     deterministically by node id so witnesses are reproducible.
     """
-    out: dict[EdgeId, ClosurePath] = {}
-    for source in inst.nodes:
-        dist: dict[str, Fraction] = {source: Fraction(0)}
-        parent: dict[str, EdgeId] = {}
-        heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-        done: set[str] = set()
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v in done:
-                continue
-            done.add(v)
-            for edge in inst.out_edges[v]:
-                head = edge[1]
-                nd = d + inst.cost(edge)
-                # strict improvement only: keeps the parent forest acyclic;
-                # witness choice is still deterministic because edges are
-                # visited in canonical order
-                if head not in dist or nd < dist[head]:
-                    dist[head] = nd
-                    parent[head] = edge
-                    heapq.heappush(heap, (nd, head))
-        for target in done:
-            if target == source:
-                continue
-            chain: list[EdgeId] = []
-            v = target
-            while v != source:
-                edge = parent[v]
-                chain.append(edge)
-                v = edge[0]
-            chain.reverse()
-            out[(source, target)] = ClosurePath(dist[target], tuple(chain))
-    return out
+    return {
+        (source, target): path
+        for source in inst.nodes
+        for target, path in _cheapest_from(inst, source).items()
+    }
 
 
 def shortest_path(inst: DstInstance, target: str, source: str | None = None) -> PathRecord:
     """Cheapest path from the root (or `source`) to `target`."""
     source = inst.root if source is None else source
-    if target not in set(inst.nodes):
+    nodes = set(inst.nodes)
+    if target not in nodes:
         raise InstanceError(f"unknown node {target!r}")
-    closure = metric_closure(inst)
     if source == target:
         return PathRecord(edges=(), start=source, end=target, cost=Fraction(0))
-    hit = closure.get((source, target))
+    hit = _cheapest_from(inst, source).get(target) if source in nodes else None
     if hit is None:
         raise InstanceError(f"{target!r} not reachable from {source!r}")
     return trace_path(inst, hit.edges)

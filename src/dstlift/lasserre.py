@@ -37,6 +37,7 @@ from .moments import (
     MomentVector,
     import_moments,
     mask_of,
+    masks_upto,
     subsets_upto,
 )
 
@@ -164,7 +165,7 @@ def assemble(
         ([(i, float(a)) for i, a in r.coeffs.items()], float(r.rhs)) for r in cs.rows
     ]
     parts = [
-        _slot_map(blocks, [mask_of(s) for s in subsets_upto(n, min(t, n))], col_of)
+        _slot_map(blocks, list(masks_upto(n, t)), col_of)
         for blocks, t in (([([], -1.0)], level + 1), (rows, level))
     ]
 
@@ -325,9 +326,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     Y = project(-rho * u)
     dual_objective = -float(C @ Y) * scale
     dual_infeas = float(np.linalg.norm((LT @ Y) * scale - problem.objective))
-    entries: dict[IndexSet, float] = {(): 1.0}
-    for s, xi in zip(problem.free_sets, x):
-        entries[s] = float(xi)
+    entries = {0: 1.0, **dict(zip(problem.col_of, x.tolist()))}
     vector = MomentVector(
         n_vars=problem.n_vars, level=problem.level, entries=entries, exact=False
     )

@@ -1,12 +1,14 @@
 """Moment vectors over variable subsets and the structural toolkit around them.
 
 A moment vector assigns a value to each stored subset of the ground variables
-(the empty set carries the normalization).  On top of that this module builds
-moment matrices, the shift operator for linear constraints, conditioning on
-partial 0/1 assignments, subset Moebius transforms between moments and atomic
-masses, the induction-friendly decomposition into smaller-level vectors, and
-a certifier that checks positive semidefiniteness plus the order and
-propagation laws a lifted relaxation must satisfy.
+(the empty set carries the normalization).  Entries are keyed by bitmask, bit
+i standing for variable ordinal i; tuples of sorted ordinals appear only at
+`value`/`has`, in moment files and in issue text.  On top of that this
+module builds moment matrices, the shift operator for linear constraints,
+conditioning on partial 0/1 assignments, subset Moebius transforms between
+moments and atomic masses, the induction-friendly decomposition into
+smaller-level vectors, and a certifier that checks positive semidefiniteness
+plus the order and propagation laws a lifted relaxation must satisfy.
 
 `shift` and `moment_matrix` are the one evaluator of shifted moment
 matrices: the certifier builds the block of row g as
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -57,18 +60,6 @@ class MomentFormatError(ValueError):
     """Raised for malformed moment files."""
 
 
-def iset(items: Iterable[int]) -> IndexSet:
-    return tuple(sorted(set(items)))
-
-
-def union_sets(a: IndexSet, b: IndexSet) -> IndexSet:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(set(a) | set(b)))
-
-
 def subsets_upto(n_vars: int, size: int) -> list[IndexSet]:
     """All subsets of range(n_vars) with at most `size` elements, by (size, lex)."""
     out: list[IndexSet] = []
@@ -77,75 +68,76 @@ def subsets_upto(n_vars: int, size: int) -> list[IndexSet]:
     return out
 
 
-def mask_of(index_set: IndexSet) -> int:
+def masks_upto(n_vars: int, size: int) -> Iterator[int]:
+    """The masks of `subsets_upto(n_vars, size)`, in the same order."""
+    bits = [1 << i for i in range(n_vars)]
+    return itertools.chain.from_iterable(
+        map(sum, itertools.combinations(bits, k)) for k in range(min(size, n_vars) + 1)
+    )
+
+
+def mask_of(index_set: Iterable[int]) -> int:
     m = 0
     for i in index_set:
         m |= 1 << i
     return m
 
 
-def set_of(mask: int, n_vars: int) -> IndexSet:
-    return tuple(i for i in range(n_vars) if mask >> i & 1)
+def set_of(mask: int) -> IndexSet:
+    """The ordinals of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass
 class MomentVector:
     """Subset-indexed values with a nominal level.
 
-    `entries` is authoritative: querying an absent subset raises instead of
-    defaulting to zero, so silent domain mismatches cannot happen.  A vector
-    of level t is normally defined on all subsets of size <= 2t+2 but
-    restricted domains (from conditioning) are allowed.
+    `entries` maps the bitmask of each stored subset (bit i = variable
+    ordinal i) to its value.  It is authoritative: querying an absent subset
+    raises instead of defaulting to zero, so silent domain mismatches cannot
+    happen.  `value` and `has` take ordinals.  A vector of level t is
+    normally defined on all subsets of size <= 2t+2 but restricted domains
+    (from conditioning) are allowed.
     """
 
     n_vars: int
     level: int
-    entries: dict[IndexSet, Value]
+    entries: dict[int, Value]
     exact: bool
-    _mask_entries: dict[int, Value] | None = field(default=None, repr=False)
-    _down_closed: bool | None = field(default=None, repr=False)
-    _complete_size: int | None = field(default=None, repr=False)
 
     def value(self, index_set: Iterable[int]) -> Value:
-        key = iset(index_set)
+        key = mask_of(index_set)
         try:
             return self.entries[key]
         except KeyError:
-            raise MissingMomentError(key) from None
+            raise MissingMomentError(set_of(key)) from None
 
     def has(self, index_set: Iterable[int]) -> bool:
-        return iset(index_set) in self.entries
-
-    def mask_entries(self) -> dict[int, Value]:
-        if self._mask_entries is None:
-            self._mask_entries = {mask_of(k): v for k, v in self.entries.items()}
-        return self._mask_entries
+        return mask_of(index_set) in self.entries
 
     def down_closed(self) -> bool:
-        if self._down_closed is None:
-            keys = self.entries
-            ok = True
-            for key in keys:
-                for pos in range(len(key)):
-                    if key[:pos] + key[pos + 1 :] not in keys:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._down_closed = ok
-        return self._down_closed
+        keys = self.entries
+        for key in keys:
+            rest = key
+            while rest:
+                low = rest & -rest
+                if key ^ low not in keys:
+                    return False
+                rest ^= low
+        return True
 
     def complete_size(self) -> int:
         """Largest d such that every subset of size <= d is stored (-1 if none)."""
-        if self._complete_size is None:
-            counts: dict[int, int] = {}
-            for key in self.entries:
-                counts[len(key)] = counts.get(len(key), 0) + 1
-            d = -1
-            while counts.get(d + 1, 0) == math.comb(self.n_vars, d + 1) and d + 1 <= self.n_vars:
-                d += 1
-            self._complete_size = d
-        return self._complete_size
+        counts = Counter(key.bit_count() for key in self.entries)
+        d = -1
+        while d < self.n_vars and counts[d + 1] == math.comb(self.n_vars, d + 1):
+            d += 1
+        return d
 
 
 @dataclass(frozen=True)
@@ -156,14 +148,13 @@ class MomentMatrix:
 
 def moment_matrix(y: MomentVector, size: int) -> MomentMatrix:
     """The matrix indexed by subsets up to `size` with entries y(row | col)."""
-    sets = subsets_upto(y.n_vars, size)
-    masks = [mask_of(s) for s in sets]
-    me = y.mask_entries()
+    masks = list(masks_upto(y.n_vars, size))
+    me = y.entries
     try:
         grid = tuple(tuple([me[mi | mj] for mj in masks]) for mi in masks)
     except KeyError as exc:
-        raise MissingMomentError(set_of(exc.args[0], y.n_vars)) from None
-    return MomentMatrix(tuple(sets), grid)
+        raise MissingMomentError(set_of(exc.args[0])) from None
+    return MomentMatrix(tuple(subsets_upto(y.n_vars, size)), grid)
 
 
 def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVector:
@@ -179,7 +170,7 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
             raise ValueError(f"coefficient index {i} outside range({y.n_vars})")
         if a != 0:
             support.append((i, a))
-    me = y.mask_entries()
+    me = y.entries
     exact = y.exact and not isinstance(rhs, float) and all(
         not isinstance(a, float) for _, a in support
     )
@@ -190,8 +181,8 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
     conv = (lambda a: a if isinstance(a, int) else Fraction(a)) if exact else float
     neg_rhs = -conv(rhs)
     support = [(1 << i, conv(a)) for i, a in support]
-    out: dict[IndexSet, Value] = {}
-    for key, (mask, base) in zip(y.entries, me.items()):
+    out: dict[int, Value] = {}
+    for mask, base in me.items():
         total = neg_rhs * base
         ok = True
         for bit, a in support:
@@ -201,19 +192,18 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
                 break
             total += a * hit
         if ok:
-            out[key] = total
+            out[mask] = total
     return MomentVector(y.n_vars, y.level, out, exact=exact)
 
 
-def _domain_minus(y: MomentVector, s_mask: int) -> list[IndexSet]:
+def _domain_minus(y: MomentVector, s_mask: int) -> list[int]:
     """Sets I whose every union with a subset of S stays in the domain."""
-    me = y.mask_entries()
+    me = y.entries
     if y.down_closed():
-        return [k for k in y.entries if mask_of(k) | s_mask in me]
-    bits = [i for i in range(y.n_vars) if s_mask >> i & 1]
+        return [k for k in me if k | s_mask in me]
+    bits = set_of(s_mask)
     out = []
-    for k in y.entries:
-        mask = mask_of(k)
+    for mask in me:
         extra = [b for b in bits if not mask >> b & 1]
         good = True
         for r in range(len(extra) + 1):
@@ -227,7 +217,7 @@ def _domain_minus(y: MomentVector, s_mask: int) -> list[IndexSet]:
             if not good:
                 break
         if good:
-            out.append(k)
+            out.append(mask)
     return out
 
 
@@ -249,27 +239,26 @@ def condition(
     `sum over H within scope-ones of (-1)^|H| y(I + ones + H)`, restricted to
     the sets whose scope unions all stay in the stored domain.
     """
-    x_set = iset(ones)
-    s_set = iset(scope)
-    if not set(x_set) <= set(s_set):
+    x_mask = mask_of(ones)
+    s_mask = mask_of(scope)
+    if x_mask & ~s_mask:
         raise ValueError("ones must be contained in scope")
-    dom = _domain_minus(y, mask_of(s_set))
+    dom = _domain_minus(y, s_mask)
     if not dom:
         raise DomainError("conditioning domain is empty")
-    me = y.mask_entries()
-    x_mask = mask_of(x_set)
-    terms = _signed_subsets([i for i in s_set if i not in x_set])
+    me = y.entries
+    terms = _signed_subsets(set_of(s_mask & ~x_mask))
     zero = ZERO if y.exact else 0.0
-    out: dict[IndexSet, Value] = {}
+    out: dict[int, Value] = {}
     for key in dom:
-        base = mask_of(key) | x_mask
+        base = key | x_mask
         total = zero
         for t_mask, sign in terms:
             v = me[base | t_mask]
             total = total + v if sign > 0 else total - v
         out[key] = total
     return MomentVector(
-        y.n_vars, max(y.level - len(s_set), 0), out, exact=y.exact
+        y.n_vars, max(y.level - s_mask.bit_count(), 0), out, exact=y.exact
     )
 
 
@@ -289,8 +278,7 @@ def mobius_atoms(y: MomentVector) -> dict[tuple[int, ...], Value]:
         raise CapExceededError(f"{n} variables exceeds inversion cap {MAX_ATOM_VARS}")
     if y.complete_size() < n:
         raise DomainError("inversion needs every subset of the ground set")
-    me = y.mask_entries()
-    arr = [me[mask] for mask in range(1 << n)]
+    arr = [y.entries[mask] for mask in range(1 << n)]
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
@@ -316,16 +304,16 @@ def from_atoms(
     cap = min(2 * level + 2, n)
     any_float = any(isinstance(m, float) for _, m in points)
     zero = 0.0 if any_float else ZERO
-    entries: dict[IndexSet, Value] = {key: zero for key in subsets_upto(n, cap)}
+    entries: dict[int, Value] = dict.fromkeys(masks_upto(n, cap), zero)
     for point, mass in points:
         if len(point) != n or any(b not in (0, 1) for b in point):
             raise ValueError(f"bad 0/1 point {point!r}")
         if mass == 0:
             continue
-        support = tuple(i for i, b in enumerate(point) if b)
+        support = [1 << i for i, b in enumerate(point) if b]
         add = float(mass) if any_float else Fraction(mass)
         for k in range(min(len(support), cap) + 1):
-            for key in itertools.combinations(support, k):
+            for key in map(sum, itertools.combinations(support, k)):
                 entries[key] += add
     return MomentVector(n, level, entries, exact=not any_float)
 
@@ -367,7 +355,7 @@ def inversion_check(
 
     Returns (ok, max deviation) over the common restricted domain.
     """
-    s_set = iset(scope)
+    s_set = set_of(mask_of(scope))
     parts = [
         condition(y, ones, s_set)
         for k in range(len(s_set) + 1)
@@ -435,18 +423,17 @@ def decompose(
     overlap lower.  Entries outside the stored domain are treated as zero,
     matching the vanishing-overlap structure.
     """
-    s_set = iset(scope)
+    s_mask = mask_of(scope)
+    s_set = set_of(s_mask)
     t = y.level
     if drop < 0 or drop > t:
         raise ValueError(f"drop {drop} outside 0..{t}")
     if y.complete_size() < min(2 * t + 2, y.n_vars):
         raise DomainError("vector is not complete to its declared level")
-    s_mask = mask_of(s_set)
     offenders = [
-        k
+        set_of(k)
         for k, v in y.entries.items()
-        if bin(mask_of(k) & s_mask).count("1") > drop
-        and (v != 0 if y.exact else abs(v) > tol)
+        if (k & s_mask).bit_count() > drop and (v != 0 if y.exact else abs(v) > tol)
     ]
     if offenders:
         offenders.sort(key=lambda k: (len(k), k))
@@ -454,17 +441,15 @@ def decompose(
             f"entries overlap scope in more than {drop} places: {offenders[:5]}"
         )
 
-    me = y.mask_entries()
+    me = y.entries
     zero = ZERO if y.exact else 0.0
 
     def ext(mask: int) -> Value:
         return me.get(mask, zero)
 
     out_level = t - drop
-    base_dom = subsets_upto(y.n_vars, min(2 * out_level + 2, y.n_vars))
-    extra_dom = _domain_minus(y, s_mask)
-    dom_keys = dict.fromkeys(base_dom)
-    for key in extra_dom:
+    dom_keys = dict.fromkeys(masks_upto(y.n_vars, 2 * out_level + 2))
+    for key in _domain_minus(y, s_mask):
         dom_keys.setdefault(key)
     parts = []
     for k in range(len(s_set) + 1):
@@ -487,9 +472,7 @@ def decompose(
                 raise DecompositionError(
                     f"negative weight {weight} at assignment {ones!r}"
                 )
-            entries = {
-                key: masked_sum(mask_of(key) | x_mask) / weight for key in dom_keys
-            }
+            entries = {key: masked_sum(key | x_mask) / weight for key in dom_keys}
             parts.append(
                 DecompositionPart(
                     weight=weight,
@@ -645,7 +628,7 @@ def certify(
     # row by the lcm E of its own, so the block is built and tested in ints;
     # a positive scale leaves PSD-ness unchanged.
     t = min(level, n)
-    cut = {k: v for k, v in y.entries.items() if len(k) <= 2 * t + 1}
+    cut = {k: v for k, v in y.entries.items() if k.bit_count() <= 2 * t + 1}
     y_scale = 1
     if exact:
         y_scale = math.lcm(*(v.denominator for v in cut.values()))
@@ -665,69 +648,72 @@ def certify(
         check_psd(shifted.grid, f"shifted matrix {row.label}", scale)
     checks["psd_shifted"] = n_rows
 
+    # Each set is compared with its parents in ascending order of the
+    # dropped ordinal; exact vectors compare without adding their zero eps.
+    me = y.entries
+    low, high = -eps, 1 + eps
     mono = 0
-    for key, v in y.entries.items():
-        if v < -eps:
-            issues.append(CertifyIssue("bounds", f"{key!r} below zero", -v))
-        if v > 1 + eps:
-            issues.append(CertifyIssue("bounds", f"{key!r} above one", v - 1))
-        for pos in range(len(key)):
-            parent = key[:pos] + key[pos + 1 :]
-            pv = y.entries.get(parent)
+    for key, v in me.items():
+        if v < low:
+            issues.append(CertifyIssue("bounds", f"{set_of(key)!r} below zero", -v))
+        if v > high:
+            issues.append(CertifyIssue("bounds", f"{set_of(key)!r} above one", v - 1))
+        rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            pv = me.get(key ^ bit)
             if pv is None:
                 continue
             mono += 1
-            if v > pv + eps:
+            if v > (pv if exact else pv + eps):
                 issues.append(
                     CertifyIssue(
-                        "monotonicity", f"{key!r} exceeds {parent!r}", v - pv
+                        "monotonicity",
+                        f"{set_of(key)!r} exceeds {set_of(key ^ bit)!r}",
+                        v - pv,
                     )
                 )
     checks["monotonicity"] = mono
 
-    cap_pairs = min(level + 1, n)
-    one_sets = [
-        k
-        for k in subsets_upto(n, cap_pairs)
-        if k and abs(y.entries[k] - 1) <= eps
-    ][:SPOT_ONES]
-    others = subsets_upto(n, cap_pairs)[:SPOT_OTHER]
-    me = y.mask_entries()
+    pair_masks = list(masks_upto(n, min(level + 1, n)))
+    one_sets = [k for k in pair_masks if k and abs(me[k] - 1) <= eps][:SPOT_ONES]
+    others = pair_masks[:SPOT_OTHER]
     ones_checked = 0
     for full in one_sets:
         for other in others:
-            joined = union_sets(full, other)
-            jv = me.get(mask_of(joined))
+            jv = me.get(full | other)
             if jv is None:
                 continue
             ones_checked += 1
-            gap = abs(jv - y.entries[other])
+            gap = abs(jv - me[other])
             if gap > eps:
                 issues.append(
                     CertifyIssue(
                         "one-propagation",
-                        f"{full!r} at one but {joined!r} != {other!r}",
+                        f"{set_of(full)!r} at one but {set_of(full | other)!r}"
+                        f" != {set_of(other)!r}",
                         gap,
                     )
                 )
     checks["one_propagation"] = ones_checked
 
-    singles = [y.entries.get((i,)) for i in range(n)]
+    singles = [me.get(1 << i) for i in range(n)]
     if all(v is not None for v in singles) and all(
         min(abs(v), abs(v - 1)) <= eps for v in singles
     ):
         prod_checked = 0
-        for key, v in y.entries.items():
+        for key, v in me.items():
             if not key:
                 continue
             prod = ONE if exact else 1.0
-            for i in key:
+            for i in set_of(key):
                 prod *= singles[i]
             prod_checked += 1
             gap = abs(v - prod)
             if gap > eps:
                 issues.append(
-                    CertifyIssue("integral-product", f"{key!r}", gap)
+                    CertifyIssue("integral-product", f"{set_of(key)!r}", gap)
                 )
         checks["integral_product"] = prod_checked
     else:
@@ -741,9 +727,9 @@ def certify(
 def export_moments(y: MomentVector) -> str:
     """Serialize a complete moment vector: header then `ordinals : value` lines."""
     lines = [f"moments {y.n_vars} {y.level}"]
-    for key in sorted(y.entries, key=lambda k: (len(k), k)):
+    items = [(set_of(k), v) for k, v in y.entries.items()]
+    for key, value in sorted(items, key=lambda kv: (len(kv[0]), kv[0])):
         left = " ".join(str(i) for i in key)
-        value = y.entries[key]
         if isinstance(value, Fraction):
             right = format_cost(value) if value >= 0 else "-" + format_cost(-value)
         else:
@@ -786,10 +772,10 @@ def import_moments(text: str) -> MomentVector:
     floaty = any(
         "." in tok or "e" in tok.lower() for tok in raw.values()
     )
-    entries: dict[IndexSet, Value] = {}
+    entries: dict[int, Value] = {}
     for key, tok in raw.items():
         try:
-            entries[key] = float(tok) if floaty else (
+            entries[mask_of(key)] = float(tok) if floaty else (
                 -Fraction(tok[1:]) if tok.startswith("-") else Fraction(tok)
             )
         except (ValueError, ZeroDivisionError) as exc:

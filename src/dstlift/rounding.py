@@ -33,7 +33,7 @@ from .instance import (
     verify_solution,
 )
 from .flow_lp import VariableMap
-from .moments import MomentVector, iset
+from .moments import MomentVector
 
 Value = Union[Fraction, float]
 
@@ -56,9 +56,7 @@ class VectorOracle:
 
     def query(self, edges: frozenset[EdgeId]) -> Value:
         self.queries += 1
-        return self.vector.value(
-            iset(self.vmap.edge_ordinal(e) for e in edges)
-        )
+        return self.vector.value(self.vmap.edge_ordinal(e) for e in edges)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -27,7 +27,7 @@ from dstlift import as_layered, build_flow_lp, make_instance, parse_instance
 from dstlift import exact, flow_lp, harness, lasserre, moments, rounding
 from dstlift.cli import main as cli_main
 from dstlift.instance import format_instance, verify_solution
-from dstlift.moments import from_distribution, iset
+from dstlift.moments import from_distribution
 
 from conftest import (
     REFERENCE_OPT,
@@ -451,11 +451,11 @@ def test_exact_vector_suite_certifies_and_decomposes():
             for part in dec.parts:
                 for i in scope:
                     expected = Fraction(int(i in part.assignment))
-                    assert part.vector.value(iset([i])) == expected
+                    assert part.vector.value([i]) == expected
 
             for var_set in zero_sets:
                 n_zero_sets += 1
-                assert y.value(iset(var_set)) == 0, f"{name}#{k}: {var_set}"
+                assert y.value(var_set) == 0, f"{name}#{k}: {var_set}"
 
     ok = n_vectors >= 100
     _verdict(
@@ -577,7 +577,7 @@ def test_rounding_feasibility_and_cost_bound():
         oracle = rounding.VectorOracle(sol.vector, vmap)
         reps = rounding.default_reps(layered)
         fractional = sum(
-            float(cost) * float(sol.vector.value(iset([vmap.edge_ordinal(e)])))
+            float(cost) * float(sol.vector.value([vmap.edge_ordinal(e)]))
             for e, cost in layered.graph.edges
         )
         opt = float(exact.exact_opt(layered.graph).cost)

@@ -190,6 +190,16 @@ def test_check_flags_corruption(
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def point_mass_edits():
+    """Edits that turn the diamond mix into the point mass on r->b->s."""
+    edits = {}
+    for line in diamond_moments_text().splitlines()[1:]:
+        key, value = (part.strip() for part in line.split(":"))
+        if value in ("3/4", "1/4"):
+            edits[key] = "1" if value == "3/4" else "0"
+    return edits
+
+
 @pytest.mark.parametrize(
     "case, edits, extra_row",
     [
@@ -198,6 +208,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("check_row_block", {"3": "2/3"}, "ge 0 0 1/2 1/3 0 0 0 0 1/4 mix"),
         # The main block fails at a later pivot, with witness -3/44.
         ("check_main_block", {"0 1": "1/10"}, None),
+        # The point mass with two size-4 entries raised: only the main block
+        # reads them, so its one psd issue is followed by bounds,
+        # monotonicity and one-propagation issues that print index sets.
+        (
+            "check_order_laws",
+            {**point_mass_edits(), "0 1 3 5": "1/2", "1 3 5 7": "3/2"},
+            None,
+        ),
     ],
 )
 def test_check_failure_bytes_are_pinned(case, edits, extra_row, tmp_path, capsys):

@@ -118,6 +118,8 @@ def test_metric_closure_matches_relaxation_oracle(seed):
                 walked = trace_path(inst, hit.edges)
                 assert walked.start == u and walked.end == v
                 assert walked.cost == expected
+                path = shortest_path(inst, v, u)
+                assert (path.edges, path.cost) == (hit.edges, hit.cost)
 
 
 def test_single_hop_levelize_collapses_to_closure_edge():

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from dstlift.moments import (
     from_distribution,
     import_moments,
     inversion_check,
+    mask_of,
     mobius_atoms,
     moment_matrix,
     reconstruction_deviation,
+    set_of,
     shift,
     shift_commutes_check,
     subsets_upto,
@@ -78,7 +81,7 @@ def test_from_distribution_validation():
 
 
 def test_missing_entry_raises():
-    y = MomentVector(2, 0, {(): Fraction(1), (0,): Fraction(1, 2)}, exact=True)
+    y = MomentVector(2, 0, {0b00: Fraction(1), 0b01: Fraction(1, 2)}, exact=True)
     with pytest.raises(MissingMomentError):
         y.value((1,))
     with pytest.raises(MissingMomentError):
@@ -131,7 +134,7 @@ def test_mobius_guard(monkeypatch):
 def _random_full_vector(rng, n):
     """Arbitrary rational values on the full powerset; not a distribution."""
     entries = {
-        key: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        mask_of(key): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         for key in subsets_upto(n, n)
     }
     return MomentVector(n, n, entries, exact=True)
@@ -191,7 +194,7 @@ def test_condition_matches_subdistribution_oracle():
                     if all(x[i] for i in ones) and not any(x[i] for i in zeros)
                 ]
                 z = condition(y, ones, scope)
-                for key in z.entries:
+                for key in map(set_of, z.entries):
                     assert z.value(key) == sum(
                         (p for p, x in sub if all(x[i] for i in key)),
                         Fraction(0),
@@ -429,8 +432,7 @@ def test_certify_accepts_distributions_with_rows():
 def test_certify_flags_bound_violation():
     dist = [(Fraction(1), (1, 0))]
     y = from_distribution(dist, 1)
-    y.entries[(1,)] = Fraction(-1, 4)
-    y._mask_entries = None
+    y.entries[0b10] = Fraction(-1, 4)
     report = certify(y, 1)
     assert not report.ok
     kinds = {issue.kind for issue in report.issues}
@@ -440,8 +442,7 @@ def test_certify_flags_bound_violation():
 def test_certify_flags_monotonicity_violation():
     dist = [(Fraction(1, 2), (1, 1)), (Fraction(1, 2), (0, 0))]
     y = from_distribution(dist, 0)
-    y.entries[(0, 1)] = Fraction(9, 10)  # exceeds the singleton 1/2
-    y._mask_entries = None
+    y.entries[0b11] = Fraction(9, 10)  # exceeds the singleton 1/2
     report = certify(y, 0)
     assert not report.ok
     assert any(issue.kind in ("monotonicity", "psd") for issue in report.issues)
@@ -449,10 +450,10 @@ def test_certify_flags_monotonicity_violation():
 
 def test_certify_flags_broken_one_propagation():
     entries = {
-        (): Fraction(1),
-        (0,): Fraction(1),
-        (1,): Fraction(1, 2),
-        (0, 1): Fraction(1, 4),  # should equal y( {1} ) because y({0}) = 1
+        0b00: Fraction(1),
+        0b01: Fraction(1),
+        0b10: Fraction(1, 2),
+        0b11: Fraction(1, 4),  # should equal y( {1} ) because y({0}) = 1
     }
     y = MomentVector(2, 0, entries, exact=True)
     report = certify(y, 0)
@@ -465,20 +466,34 @@ def test_certify_integral_product_check():
     report = certify(y, 1)
     assert report.ok
     assert report.checks["integral_product"] > 0
-    y.entries[(0, 2)] = Fraction(1, 2)  # breaks the product law
-    y._mask_entries = None
+    y.entries[0b101] = Fraction(1, 2)  # breaks the product law
     report = certify(y, 1)
     assert not report.ok
+
+
+def test_certify_judges_entries_edited_after_a_certify():
+    # Three variables, each at 1/2: all equal or all zero.  With every pair
+    # set to 0 the bounds, monotonicity and one-propagation laws still hold,
+    # but the main block is no longer PSD.
+    dist = [(Fraction(1, 2), (1, 1, 1)), (Fraction(1, 2), (0, 0, 0))]
+    y = from_distribution(dist, 0)
+    assert certify(y, 0).ok
+    for pair in (0b011, 0b101, 0b110):
+        y.entries[pair] = Fraction(0)
+    report = certify(y, 0)
+    assert [(i.kind, i.where, i.amount) for i in report.issues] == [
+        ("psd", "main matrix: zero diagonal with nonzero row", Fraction(-1, 2))
+    ]
 
 
 def test_certify_float_tolerance():
     # pair moment exceeds a singleton by 1e-7: invisible at tol 1e-5,
     # flagged at tol 1e-9
     noisy = {
-        (): 1.0,
-        (0,): 0.25,
-        (1,): 0.25,
-        (0, 1): 0.2500001,
+        0b00: 1.0,
+        0b01: 0.25,
+        0b10: 0.25,
+        0b11: 0.2500001,
     }
     y = MomentVector(2, 0, noisy, exact=False)
     assert not y.exact
@@ -513,8 +528,24 @@ def test_moment_file_round_trip_exact():
     assert export_moments(again) == text
 
 
+def test_export_moments_bytes_are_pinned():
+    """Files list subsets by (size, lex), not in the order entries are
+    stored; the shifted vector adds negative values and a cut domain."""
+    dist = [
+        (Fraction(1, 3), (1, 0, 1, 1)),
+        (Fraction(1, 6), (0, 1, 1, 0)),
+        (Fraction(1, 2), (1, 1, 0, 0)),
+    ]
+    y = from_distribution(dist, 1)
+    row = {0: Fraction(-2), 3: Fraction(1)}
+    z = shift(row, Fraction(-1, 5), from_distribution(dist, 0))
+    text = export_moments(y) + export_moments(z)
+    golden = Path(__file__).resolve().parent / "golden" / "export_moments.txt"
+    assert text == golden.read_text()
+
+
 def test_moment_file_round_trip_float():
-    entries = {(): 1.0, (0,): 0.25, (1,): 0.75, (0, 1): 0.1}
+    entries = {0b00: 1.0, 0b01: 0.25, 0b10: 0.75, 0b11: 0.1}
     y = MomentVector(2, 0, entries, exact=False)
     text = export_moments(y)
     again = import_moments(text)
