@@ -81,6 +81,14 @@ def _cmd_lift_dim(args) -> int:
     return 0
 
 
+def _issues(report: moments.CertifyReport) -> list[dict]:
+    """The first ten certify issues, amounts as floats."""
+    return [
+        {"kind": i.kind, "where": i.where, "amount": float(i.amount)}
+        for i in report.issues[:10]
+    ]
+
+
 def _cmd_lift_solve(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     cs, _ = flow_lp.build_flow_lp(layered)
@@ -99,10 +107,7 @@ def _cmd_lift_solve(args) -> int:
         "diagnostics": solution.diagnostics,
         "objective": solution.objective,
         "certify_ok": report.ok,
-        "certify_issues": [
-            {"kind": i.kind, "where": i.where, "amount": float(i.amount)}
-            for i in report.issues[:10]
-        ],
+        "certify_issues": _issues(report),
     }
     sys.stdout.write(canonical_json(payload))
     return 0
@@ -135,10 +140,7 @@ def _cmd_check(args) -> int:
     payload = {
         "certify_ok": report.ok,
         "certify_checks": report.checks,
-        "certify_issues": [
-            {"kind": i.kind, "where": i.where, "amount": float(i.amount)}
-            for i in report.issues[:10]
-        ],
+        "certify_issues": _issues(report),
         "inversion": inversions,
         "shift_commutes": commute,
         "ok": report.ok

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -63,35 +64,23 @@ class DstInstance:
         except KeyError:
             raise InstanceError(f"unknown edge {edge!r}") from None
 
-    @property
+    @cached_property
     def cost_map(self) -> dict[EdgeId, Fraction]:
-        cached = getattr(self, "_cost_map", None)
-        if cached is None:
-            cached = dict(self.edges)
-            object.__setattr__(self, "_cost_map", cached)
-        return cached
+        return dict(self.edges)
 
-    @property
+    @cached_property
     def out_edges(self) -> dict[str, tuple[EdgeId, ...]]:
-        cached = getattr(self, "_out_edges", None)
-        if cached is None:
-            adj: dict[str, list[EdgeId]] = {v: [] for v in self.nodes}
-            for (tail, head), _ in self.edges:
-                adj[tail].append((tail, head))
-            cached = {v: tuple(es) for v, es in adj.items()}
-            object.__setattr__(self, "_out_edges", cached)
-        return cached
+        adj: dict[str, list[EdgeId]] = {v: [] for v in self.nodes}
+        for (tail, head), _ in self.edges:
+            adj[tail].append((tail, head))
+        return {v: tuple(es) for v, es in adj.items()}
 
-    @property
+    @cached_property
     def in_edges(self) -> dict[str, tuple[EdgeId, ...]]:
-        cached = getattr(self, "_in_edges", None)
-        if cached is None:
-            adj: dict[str, list[EdgeId]] = {v: [] for v in self.nodes}
-            for (tail, head), _ in self.edges:
-                adj[head].append((tail, head))
-            cached = {v: tuple(es) for v, es in adj.items()}
-            object.__setattr__(self, "_in_edges", cached)
-        return cached
+        adj: dict[str, list[EdgeId]] = {v: [] for v in self.nodes}
+        for (tail, head), _ in self.edges:
+            adj[head].append((tail, head))
+        return {v: tuple(es) for v, es in adj.items()}
 
 
 def make_instance(
@@ -245,11 +234,6 @@ class PathRecord:
     end: str
     cost: Fraction
 
-    def nodes(self) -> tuple[str, ...]:
-        if not self.edges:
-            return (self.start,)
-        return (self.edges[0][0],) + tuple(head for _, head in self.edges)
-
 
 def trace_path(inst: DstInstance, edges: Sequence[EdgeId]) -> PathRecord:
     """Build a PathRecord, checking consecutive incidence and known edges."""
@@ -265,13 +249,7 @@ def trace_path(inst: DstInstance, edges: Sequence[EdgeId]) -> PathRecord:
     )
 
 
-@dataclass(frozen=True)
-class ClosurePath:
-    cost: Fraction
-    edges: tuple[EdgeId, ...]
-
-
-def _cheapest_from(inst: DstInstance, source: str) -> dict[str, ClosurePath]:
+def _cheapest_from(inst: DstInstance, source: str) -> dict[str, PathRecord]:
     """Dijkstra from `source`: a cheapest path to every other reachable node."""
     dist: dict[str, Fraction] = {source: Fraction(0)}
     parent: dict[str, EdgeId] = {}
@@ -292,7 +270,7 @@ def _cheapest_from(inst: DstInstance, source: str) -> dict[str, ClosurePath]:
                 dist[head] = nd
                 parent[head] = edge
                 heapq.heappush(heap, (nd, head))
-    out: dict[str, ClosurePath] = {}
+    out: dict[str, PathRecord] = {}
     for target in done:
         if target == source:
             continue
@@ -303,11 +281,11 @@ def _cheapest_from(inst: DstInstance, source: str) -> dict[str, ClosurePath]:
             chain.append(edge)
             v = edge[0]
         chain.reverse()
-        out[target] = ClosurePath(dist[target], tuple(chain))
+        out[target] = PathRecord(tuple(chain), source, target, dist[target])
     return out
 
 
-def metric_closure(inst: DstInstance) -> dict[EdgeId, ClosurePath]:
+def metric_closure(inst: DstInstance) -> dict[EdgeId, PathRecord]:
     """All-pairs cheapest directed paths with witness edge sequences.
 
     Only finite, off-diagonal pairs appear in the result.  Ties are broken
@@ -331,7 +309,7 @@ def shortest_path(inst: DstInstance, target: str, source: str | None = None) -> 
     hit = _cheapest_from(inst, source).get(target) if source in nodes else None
     if hit is None:
         raise InstanceError(f"{target!r} not reachable from {source!r}")
-    return trace_path(inst, hit.edges)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -349,13 +327,9 @@ class LayeredInstance:
     levels: tuple[tuple[str, ...], ...]
     expansion: Mapping[EdgeId, tuple[EdgeId, ...]] = field(hash=False)
 
-    @property
+    @cached_property
     def level_of(self) -> dict[str, int]:
-        cached = getattr(self, "_level_of", None)
-        if cached is None:
-            cached = {v: j for j, layer in enumerate(self.levels) for v in layer}
-            object.__setattr__(self, "_level_of", cached)
-        return cached
+        return {v: j for j, layer in enumerate(self.levels) for v in layer}
 
 
 def _copy_name(node: str, level: int) -> str:

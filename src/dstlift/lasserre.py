@@ -31,15 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .flow_lp import ConstraintSystem
-from .moments import (
-    IndexSet,
-    MomentFormatError,
-    MomentVector,
-    import_moments,
-    mask_of,
-    masks_upto,
-    subsets_upto,
-)
+from .moments import MomentFormatError, MomentVector, import_moments, masks_upto
 
 DEFAULT_BUDGET = 2000
 BUDGET_ENV = "DSTLIFT_MOMENT_BUDGET"
@@ -83,14 +75,15 @@ def lift_dimensions(n_vars: int, level: int) -> dict[str, int]:
 class SdpProblem:
     """Assembled lift: the cone is `L @ x + C`, the objective `objective @ x`.
 
-    The main block's `main_dim**2` slots come first, then the `n_row_blocks`
-    row blocks of `row_dim**2` slots each, every block row-major.
+    `free_sets` holds the masks of the free subsets in column order: the
+    `masks_upto` order, less the empty set.  The main block's `main_dim**2`
+    slots come first, then the `n_row_blocks` row blocks of `row_dim**2`
+    slots each, every block row-major.
     """
 
     n_vars: int
     level: int
-    free_sets: tuple[IndexSet, ...]
-    col_of: dict[int, int]
+    free_sets: tuple[int, ...]
     main_dim: int
     row_dim: int
     n_row_blocks: int
@@ -156,8 +149,8 @@ def assemble(
             dims["n_free"],
         )
 
-    free_sets = tuple(subsets_upto(n, min(2 * level + 2, n))[1:])
-    col_of = {mask_of(s): i for i, s in enumerate(free_sets)}
+    free_sets = tuple(masks_upto(n, min(2 * level + 2, n)))[1:]
+    col_of = {m: i for i, m in enumerate(free_sets)}
 
     # The main block is the shift by the trivial row 0.x >= -1 over subsets
     # of size <= level+1; the row blocks, over size <= level, follow it.
@@ -177,7 +170,6 @@ def assemble(
         n_vars=n,
         level=level,
         free_sets=free_sets,
-        col_of=col_of,
         main_dim=dims["main_dim"],
         row_dim=dims["row_dim"],
         n_row_blocks=len(cs.rows),
@@ -326,7 +318,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     Y = project(-rho * u)
     dual_objective = -float(C @ Y) * scale
     dual_infeas = float(np.linalg.norm((LT @ Y) * scale - problem.objective))
-    entries = {0: 1.0, **dict(zip(problem.col_of, x.tolist()))}
+    entries = {0: 1.0, **dict(zip(problem.free_sets, x.tolist()))}
     vector = MomentVector(
         n_vars=problem.n_vars, level=problem.level, entries=entries, exact=False
     )
@@ -367,10 +359,11 @@ def solve_from_file(problem: SdpProblem, text: str) -> SdpSolution:
             f"file vector complete to size {vector.complete_size()}, "
             f"level {problem.level} wants {needed}"
         )
+    me = vector.entries
     objective = float(
         sum(
-            float(problem.objective[i]) * float(vector.value(s))
-            for i, s in enumerate(problem.free_sets)
+            float(problem.objective[i]) * float(me[m])
+            for i, m in enumerate(problem.free_sets)
             if problem.objective[i] != 0
         )
     )

@@ -60,16 +60,12 @@ class MomentFormatError(ValueError):
     """Raised for malformed moment files."""
 
 
-def subsets_upto(n_vars: int, size: int) -> list[IndexSet]:
-    """All subsets of range(n_vars) with at most `size` elements, by (size, lex)."""
-    out: list[IndexSet] = []
-    for k in range(min(size, n_vars) + 1):
-        out.extend(itertools.combinations(range(n_vars), k))
-    return out
-
-
 def masks_upto(n_vars: int, size: int) -> Iterator[int]:
-    """The masks of `subsets_upto(n_vars, size)`, in the same order."""
+    """Masks of the subsets of range(n_vars) with at most `size` elements.
+
+    Ordered by size, then lexicographically by ordinals: the one index order
+    of moment matrices and of the lift's columns.
+    """
     bits = [1 << i for i in range(n_vars)]
     return itertools.chain.from_iterable(
         map(sum, itertools.combinations(bits, k)) for k in range(min(size, n_vars) + 1)
@@ -140,21 +136,14 @@ class MomentVector:
         return d
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    sets: tuple[IndexSet, ...]
-    grid: tuple[tuple[Value, ...], ...]
-
-
-def moment_matrix(y: MomentVector, size: int) -> MomentMatrix:
-    """The matrix indexed by subsets up to `size` with entries y(row | col)."""
+def moment_matrix(y: MomentVector, size: int) -> tuple[tuple[Value, ...], ...]:
+    """The grid y(row | col), rows and columns the `masks_upto(n, size)` sets."""
     masks = list(masks_upto(y.n_vars, size))
     me = y.entries
     try:
-        grid = tuple(tuple([me[mi | mj] for mj in masks]) for mi in masks)
+        return tuple(tuple([me[mi | mj] for mj in masks]) for mi in masks)
     except KeyError as exc:
         raise MissingMomentError(set_of(exc.args[0])) from None
-    return MomentMatrix(tuple(subsets_upto(y.n_vars, size)), grid)
 
 
 def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVector:
@@ -201,24 +190,8 @@ def _domain_minus(y: MomentVector, s_mask: int) -> list[int]:
     me = y.entries
     if y.down_closed():
         return [k for k in me if k | s_mask in me]
-    bits = set_of(s_mask)
-    out = []
-    for mask in me:
-        extra = [b for b in bits if not mask >> b & 1]
-        good = True
-        for r in range(len(extra) + 1):
-            for combo in itertools.combinations(extra, r):
-                m2 = mask
-                for b in combo:
-                    m2 |= 1 << b
-                if m2 not in me:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(mask)
-    return out
+    unions = [h for h, _ in _signed_subsets(set_of(s_mask))]
+    return [k for k in me if all(k | h in me for h in unions)]
 
 
 def _signed_subsets(items: Sequence[int]) -> list[tuple[int, int]]:
@@ -228,6 +201,19 @@ def _signed_subsets(items: Sequence[int]) -> list[tuple[int, int]]:
         for r in range(len(items) + 1)
         for combo in itertools.combinations(items, r)
     ]
+
+
+def _signed_sum(y: MomentVector, base: int, terms: list[tuple[int, int]]) -> Value:
+    """Inclusion-exclusion `sum of sign * y(base + H)` over `terms`.
+
+    An entry that is not stored counts as zero.
+    """
+    me = y.entries
+    total = zero = ZERO if y.exact else 0.0
+    for t_mask, sign in terms:
+        v = me.get(base | t_mask, zero)
+        total = total + v if sign > 0 else total - v
+    return total
 
 
 def condition(
@@ -246,17 +232,8 @@ def condition(
     dom = _domain_minus(y, s_mask)
     if not dom:
         raise DomainError("conditioning domain is empty")
-    me = y.entries
     terms = _signed_subsets(set_of(s_mask & ~x_mask))
-    zero = ZERO if y.exact else 0.0
-    out: dict[int, Value] = {}
-    for key in dom:
-        base = key | x_mask
-        total = zero
-        for t_mask, sign in terms:
-            v = me[base | t_mask]
-            total = total + v if sign > 0 else total - v
-        out[key] = total
+    out = {key: _signed_sum(y, key | x_mask, terms) for key in dom}
     return MomentVector(
         y.n_vars, max(y.level - s_mask.bit_count(), 0), out, exact=y.exact
     )
@@ -348,6 +325,22 @@ def from_distribution(
     return from_atoms(merged, level)
 
 
+def _deviation(
+    pairs: Iterable[tuple[Value, Value]], exact: bool, tol: float
+) -> tuple[bool, Value]:
+    """(ok, largest |a - b|) over the pairs.
+
+    Exact values must agree exactly, floats to within `tol`; on a tie the
+    first value is kept.
+    """
+    dev: Value = ZERO if exact else 0.0
+    for a, b in pairs:
+        delta = abs(a - b)
+        if delta > dev:
+            dev = delta
+    return (dev == 0 if exact else dev <= tol), dev
+
+
 def inversion_check(
     y: MomentVector, scope: Iterable[int], tol: float = 0.0
 ) -> tuple[bool, Value]:
@@ -361,14 +354,10 @@ def inversion_check(
         for k in range(len(s_set) + 1)
         for ones in itertools.combinations(s_set, k)
     ]
-    dev: Value = ZERO if y.exact else 0.0
-    for key in parts[0].entries:
-        total = sum(p.entries[key] for p in parts)
-        delta = abs(total - y.entries[key])
-        if delta > dev:
-            dev = delta
-    ok = dev == 0 if y.exact else dev <= tol
-    return ok, dev
+    pairs = (
+        (sum(p.entries[key] for p in parts), y.entries[key]) for key in parts[0].entries
+    )
+    return _deviation(pairs, y.exact, tol)
 
 
 def shift_commutes_check(
@@ -389,13 +378,8 @@ def shift_commutes_check(
     common = left.entries.keys() & right.entries.keys()
     if not common:
         raise DomainError("no common domain to compare on")
-    dev: Value = ZERO if (left.exact and right.exact) else 0.0
-    for key in common:
-        delta = abs(left.entries[key] - right.entries[key])
-        if delta > dev:
-            dev = delta
-    ok = dev == 0 if (left.exact and right.exact) else dev <= tol
-    return ok, dev
+    pairs = ((left.entries[key], right.entries[key]) for key in common)
+    return _deviation(pairs, left.exact and right.exact, tol)
 
 
 @dataclass(frozen=True)
@@ -441,12 +425,6 @@ def decompose(
             f"entries overlap scope in more than {drop} places: {offenders[:5]}"
         )
 
-    me = y.entries
-    zero = ZERO if y.exact else 0.0
-
-    def ext(mask: int) -> Value:
-        return me.get(mask, zero)
-
     out_level = t - drop
     dom_keys = dict.fromkeys(masks_upto(y.n_vars, 2 * out_level + 2))
     for key in _domain_minus(y, s_mask):
@@ -455,16 +433,8 @@ def decompose(
     for k in range(len(s_set) + 1):
         for ones in itertools.combinations(s_set, k):
             x_mask = mask_of(ones)
-            terms = _signed_subsets([i for i in s_set if i not in ones])
-
-            def masked_sum(base: int) -> Value:
-                total = zero
-                for t_mask, sign in terms:
-                    v = ext(base | t_mask)
-                    total = total + v if sign > 0 else total - v
-                return total
-
-            weight = masked_sum(x_mask)
+            terms = _signed_subsets(set_of(s_mask & ~x_mask))
+            weight = _signed_sum(y, x_mask, terms)
             small = weight == 0 if y.exact else abs(weight) <= tol
             if small:
                 continue
@@ -472,7 +442,9 @@ def decompose(
                 raise DecompositionError(
                     f"negative weight {weight} at assignment {ones!r}"
                 )
-            entries = {key: masked_sum(key | x_mask) / weight for key in dom_keys}
+            entries = {
+                key: _signed_sum(y, key | x_mask, terms) / weight for key in dom_keys
+            }
             parts.append(
                 DecompositionPart(
                     weight=weight,
@@ -485,7 +457,6 @@ def decompose(
 
 def reconstruction_deviation(dec: Decomposition, y: MomentVector) -> Value:
     """Max deviation of the weighted part sum from y on comparable entries."""
-    dev: Value = ZERO if y.exact else 0.0
     if not dec.parts:
         raise DomainError("decomposition has no parts")
     common = set(y.entries)
@@ -493,12 +464,11 @@ def reconstruction_deviation(dec: Decomposition, y: MomentVector) -> Value:
         common &= part.vector.entries.keys()
     if not common:
         raise DomainError("no common domain for reconstruction")
-    for key in common:
-        total = sum(p.weight * p.vector.entries[key] for p in dec.parts)
-        delta = abs(total - y.entries[key])
-        if delta > dev:
-            dev = delta
-    return dev
+    pairs = (
+        (sum(p.weight * p.vector.entries[key] for p in dec.parts), y.entries[key])
+        for key in common
+    )
+    return _deviation(pairs, y.exact, 0.0)[1]
 
 
 def _psd_violation_exact(
@@ -620,7 +590,7 @@ def certify(
         if bad is not None:
             issues.append(CertifyIssue("psd", f"{where}: {bad[0]}", bad[1]))
 
-    check_psd(moment_matrix(y, min(level + 1, n)).grid, "main matrix")
+    check_psd(moment_matrix(y, min(level + 1, n)), "main matrix")
     checks["psd_main"] = 1
     # A row block reads the shift on sets of size <= 2t, which needs y only up
     # to size 2t+1: shift a copy cut there instead of every stored entry.  An
@@ -645,7 +615,7 @@ def certify(
             coeffs = {i: int(Fraction(a) * e) for i, a in coeffs.items()}
             rhs, scale = int(Fraction(rhs) * e), scale * e
         shifted = moment_matrix(shift(coeffs, rhs, cut_y), t)
-        check_psd(shifted.grid, f"shifted matrix {row.label}", scale)
+        check_psd(shifted, f"shifted matrix {row.label}", scale)
     checks["psd_shifted"] = n_rows
 
     # Each set is compared with its parents in ascending order of the

@@ -56,7 +56,7 @@ def reference_file(tmp_path):
     return str(path)
 
 
-def diamond_moments_text():
+def diamond_moments_text(masses=(Fraction(3, 4), Fraction(1, 4))):
     layered = as_layered(tiny_diamond())
     _, vmap = build_flow_lp(layered)
     n = vmap.n_vars
@@ -68,7 +68,7 @@ def diamond_moments_text():
     for edge in (("r", "a"), ("a", "s")):
         lo[vmap.edge_ordinal(edge)] = 1
         lo[vmap.flow_ordinal("s", edge)] = 1
-    dist = [(Fraction(3, 4), tuple(hi)), (Fraction(1, 4), tuple(lo))]
+    dist = [(masses[0], tuple(hi)), (masses[1], tuple(lo))]
     return export_moments(from_distribution(dist, 1))
 
 
@@ -236,6 +236,28 @@ def test_check_failure_bytes_are_pinned(case, edits, extra_row, tmp_path, capsys
     system.write_text("\n".join(dump) + "\n")
     code, out, _ = run_twice(["check", str(bad), str(system), "--t", "1"], capsys)
     assert code == 1
+    assert out == (GOLDEN / f"{case}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "case, masses",
+    [
+        ("lift_solve_replay", (Fraction(3, 4), Fraction(1, 4))),
+        # float moments: summed in another order the objective reads
+        # 3.6 or 3.6000000000000005 instead of 3.5999999999999996
+        ("lift_solve_replay_float", (0.7, 0.3)),
+    ],
+)
+def test_lift_solve_replay_bytes_are_pinned(
+    case, masses, diamond_file, tmp_path, capsys
+):
+    """Replay sums the objective over the lift's columns in column order, so
+    the golden pins that order along with the output bytes."""
+    moments_file = tmp_path / "diamond.mv"
+    moments_file.write_text(diamond_moments_text(masses))
+    argv = ["lift-solve", diamond_file, "--t", "1", "--replay", str(moments_file)]
+    code, out, _ = run_twice(argv, capsys)
+    assert code == 0
     assert out == (GOLDEN / f"{case}.json").read_text()
 
 

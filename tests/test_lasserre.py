@@ -29,9 +29,9 @@ from dstlift.moments import (
     certify,
     export_moments,
     from_distribution,
+    masks_upto,
     moment_matrix,
     shift,
-    subsets_upto,
 )
 
 from conftest import tiny_chain, tiny_diamond
@@ -40,9 +40,9 @@ from conftest import tiny_chain, tiny_diamond
 @pytest.mark.parametrize("n,level", [(3, 0), (5, 1), (8, 2), (4, 5)])
 def test_lift_dimensions_match_enumeration(n, level):
     dims = lift_dimensions(n, level)
-    assert dims["main_dim"] == len(subsets_upto(n, min(level + 1, n)))
-    assert dims["row_dim"] == len(subsets_upto(n, min(level, n)))
-    assert dims["n_free"] == len(subsets_upto(n, min(2 * level + 2, n))) - 1
+    assert dims["main_dim"] == len(list(masks_upto(n, min(level + 1, n))))
+    assert dims["row_dim"] == len(list(masks_upto(n, min(level, n))))
+    assert dims["n_free"] == len(list(masks_upto(n, min(2 * level + 2, n)))) - 1
 
 
 def test_negative_level_rejected():
@@ -84,8 +84,8 @@ def test_budget_default(monkeypatch):
     assert resolve_budget() == 2000
 
 
-def _float_grid(mat):
-    return np.array([[float(v) for v in row] for row in mat.grid])
+def _float_grid(grid):
+    return np.array([[float(v) for v in row] for row in grid])
 
 
 def _pick_cap_system():
@@ -132,9 +132,12 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
     rows = cs.rows
     prob = assemble(cs, level)
     assert prob.row_labels == tuple(row.label for row in rows)
+    # columns are the nonempty subsets in `masks_upto` order
+    n = cs.n_vars
+    assert prob.free_sets == tuple(masks_upto(n, min(2 * level + 2, n)))[1:]
 
     y = from_distribution(dist, level)
-    x = np.array([float(y.value(s)) for s in prob.free_sets])
+    x = np.array([float(y.entries[m]) for m in prob.free_sets])
 
     lifted = prob.L @ x + prob.C
     split = prob.main_dim**2
@@ -151,7 +154,7 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
 
     # objective lands on singleton columns in variable order
     for i, c in enumerate(cs.objective):
-        col = prob.col_of[1 << i]
+        col = prob.free_sets.index(1 << i)
         assert prob.objective[col] == float(c)
 
 

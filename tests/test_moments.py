@@ -30,14 +30,13 @@ from dstlift.moments import (
     from_distribution,
     import_moments,
     inversion_check,
-    mask_of,
+    masks_upto,
     mobius_atoms,
     moment_matrix,
     reconstruction_deviation,
     set_of,
     shift,
     shift_commutes_check,
-    subsets_upto,
 )
 from dstlift.flow_lp import Row
 
@@ -67,7 +66,7 @@ def test_from_distribution_matches_direct_probabilities(seed):
     y = from_distribution(dist, level)
     assert y.exact
     assert y.value(()) == 1
-    for key in subsets_upto(n, min(2 * level + 2, n)):
+    for key in map(set_of, masks_upto(n, min(2 * level + 2, n))):
         assert y.value(key) == _subset_prob(dist, key)
 
 
@@ -91,11 +90,14 @@ def test_missing_entry_raises():
 def test_moment_matrix_layout():
     dist = [(Fraction(1, 2), (1, 1)), (Fraction(1, 2), (0, 1))]
     y = from_distribution(dist, 1)
-    mat = moment_matrix(y, 1)
-    assert mat.sets == ((), (0,), (1,))
-    assert mat.grid[0][0] == 1
-    assert mat.grid[1][2] == y.value((0, 1))
-    assert mat.grid[1][1] == y.value((0,))  # idempotent: union with itself
+    grid = moment_matrix(y, 1)
+    # rows and columns in `masks_upto` order: (), (0,), (1,)
+    assert list(masks_upto(2, 1)) == [0b00, 0b01, 0b10]
+    assert [len(row) for row in grid] == [3, 3, 3]
+    assert grid[0][0] == 1
+    assert grid[0][2] == grid[2][0] == y.value((1,))
+    assert grid[1][2] == y.value((0, 1))
+    assert grid[1][1] == y.value((0,))  # idempotent: union with itself
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -134,8 +136,8 @@ def test_mobius_guard(monkeypatch):
 def _random_full_vector(rng, n):
     """Arbitrary rational values on the full powerset; not a distribution."""
     entries = {
-        mask_of(key): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        for key in subsets_upto(n, n)
+        key: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        for key in masks_upto(n, n)
     }
     return MomentVector(n, n, entries, exact=True)
 
@@ -205,6 +207,15 @@ def test_condition_requires_subset():
     y = from_distribution([(Fraction(1), (1, 0))], 1)
     with pytest.raises(ValueError):
         condition(y, [0], [1])
+
+
+def test_condition_domain_when_entries_are_not_down_closed():
+    # {0, 1} is stored but {1} is not: the empty set leaves the domain of a
+    # split on scope {0, 1}, although its union with the whole scope is stored.
+    entries = {0b00: Fraction(1), 0b01: Fraction(1, 2), 0b11: Fraction(1, 4)}
+    y = MomentVector(2, 1, entries, exact=True)
+    z = condition(y, [0], [0, 1])
+    assert z.entries == {0b01: Fraction(1, 4), 0b11: Fraction(0)}
 
 
 @pytest.mark.parametrize("seed", range(6))
