@@ -374,17 +374,9 @@ def format_lp_dump(cs: ConstraintSystem) -> str:
     lines = [f"lpdump {cs.n_vars} {len(cs.rows)}"]
     lines.append("min " + " ".join(format_cost(c) for c in cs.objective))
     for r in cs.rows:
-        dense = (r.coeffs.get(j, zero) for j in range(cs.n_vars))
-        lines.append(
-            "ge " + " ".join(_signed(c) for c in dense) + f" {_signed(r.rhs)} {r.label}"
-        )
+        dense = " ".join(format_cost(r.coeffs.get(j, zero)) for j in range(cs.n_vars))
+        lines.append(f"ge {dense} {format_cost(r.rhs)} {r.label}")
     return "\n".join(lines) + "\n"
-
-
-def _signed(value: Fraction) -> str:
-    if value < 0:
-        return "-" + format_cost(-value)
-    return format_cost(value)
 
 
 def _parse_signed(token: str) -> Fraction:

@@ -156,7 +156,7 @@ def canonical_json(payload) -> str:
 
 def _plain(value):
     if isinstance(value, Fraction):
-        return format_cost(value) if value >= 0 else "-" + format_cost(-value)
+        return format_cost(value)
     if is_dataclass(value) and not isinstance(value, type):
         return _plain(asdict(value))
     if isinstance(value, dict):
@@ -190,10 +190,6 @@ class PipelineConfig:
     solver: lasserre.SolverConfig | None = None
     budget: int | None = None
     do_round: bool = True
-
-    def __post_init__(self):
-        if self.solver is None:
-            self.solver = lasserre.SolverConfig()
 
 
 def run_pipeline(

@@ -39,6 +39,7 @@ def parse_cost(token: str) -> Fraction:
 
 
 def format_cost(value: Fraction) -> str:
+    """`p` or `p/q`; a negative value carries its sign on the numerator."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -701,7 +701,7 @@ def export_moments(y: MomentVector) -> str:
     for key, value in sorted(items, key=lambda kv: (len(kv[0]), kv[0])):
         left = " ".join(str(i) for i in key)
         if isinstance(value, Fraction):
-            right = format_cost(value) if value >= 0 else "-" + format_cost(-value)
+            right = format_cost(value)
         else:
             right = repr(float(value))
         lines.append(f"{left} : {right}".strip())

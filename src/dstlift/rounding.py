@@ -1,12 +1,12 @@
 """Randomized path sampling against a moment oracle, with repair and stats.
 
-Sampling walks a layered graph level by level: root edges enter with their
-own moment value as probability, and a kept partial path extends along each
-outgoing edge with the conditional probability (path-plus-edge moment over
-path moment).  The kept set is prefix-closed, so its edge union is exactly
-the union of its paths.  Repetition plus cheapest-path repair for missed
-terminals yields a feasible tree; `stats` measures the per-path hit rates,
-per-terminal path counts, and cost against what the moments promise.
+Sampling grows root paths level by level from the empty path, whose moment
+is one: a kept path P extends along each outgoing edge e of its end with the
+conditional probability y(P + e) / y(P), which for the empty path is the
+root edge's own moment.  The kept set is prefix-closed, so its edge union is
+exactly the union of its paths.  Repetition plus cheapest-path repair for
+missed terminals yields a feasible tree; `stats` measures the per-path hit
+rates, per-terminal path counts, and cost against what the moments promise.
 
 Randomness comes from a counter-based generator keyed by (seed, trial), so
 every trial is reproducible in isolation and the draw order is fixed by the
@@ -87,69 +87,49 @@ def sample_once(
 ) -> SampleRun:
     """Sample one prefix-closed path set from the oracle's distribution.
 
-    Candidate edges are visited in sorted order within each level and kept
-    paths in discovery order, so the number and order of uniform draws is a
-    function of the draws themselves; one uniform is consumed per candidate.
-    Conditional probabilities outside [0, 1] (possible for approximate
-    oracles) are clamped and counted; paths whose moment falls below an
-    absolute floor are not extended and counted as dead.
+    Sampling starts from the empty root path, of moment one, and takes
+    `layered.ell` steps: each extends the paths kept at the previous step,
+    in discovery order, along their end's outgoing edges in sorted order, so
+    the number and order of uniform draws is a function of the draws
+    themselves; one uniform is consumed per candidate.  A root edge is kept
+    with its own moment as probability, a longer extension with the ratio
+    of its moment to its prefix's.  Probabilities outside [0, 1] (possible
+    for approximate oracles) are clamped and counted; paths whose moment
+    falls below an absolute floor are not extended and counted as dead.
     """
     graph = layered.graph
-    level_of = layered.level_of
-    terminals = set(graph.terminals)
     queries = 0
     clamps = 0
     dead = 0
-    kept: list[tuple[tuple[EdgeId, ...], Value]] = []
-
-    for edge in graph.out_edges[graph.root]:
-        queries += 1
-        p = oracle.query(frozenset((edge,)))
-        prob = float(p)
-        if prob < 0.0 or prob > 1.0:
-            clamps += 1
-            prob = min(1.0, max(0.0, prob))
-        if rng.random() < prob:
-            kept.append(((edge,), p))
-
-    for level in range(1, layered.ell):
-        snapshot = [
-            (path, weight)
-            for path, weight in kept
-            if level_of[path[-1][1]] == level
-        ]
-        for path, weight in snapshot:
-            end = path[-1][1]
-            if float(weight) <= DEAD_PATH_TOL:
+    kept: list[tuple[EdgeId, ...]] = []
+    frontier: list[tuple[tuple[EdgeId, ...], str, Value]] = [((), graph.root, 1)]
+    for _ in range(layered.ell):
+        grown = []
+        for path, end, weight in frontier:
+            if path and float(weight) <= DEAD_PATH_TOL:
                 dead += 1
                 continue
             for edge in graph.out_edges[end]:
                 queries += 1
                 extended = oracle.query(frozenset(path) | {edge})
-                if isinstance(weight, Fraction) and isinstance(extended, Fraction):
-                    ratio = extended / weight
-                else:
-                    ratio = float(extended) / float(weight)
-                prob = float(ratio)
+                prob = float(extended / weight if path else extended)
                 if prob < 0.0 or prob > 1.0:
                     clamps += 1
                     prob = min(1.0, max(0.0, prob))
                 if rng.random() < prob:
-                    kept.append((path + (edge,), extended))
+                    grown.append((path + (edge,), edge[1], extended))
+        kept.extend(path for path, _, _ in grown)
+        frontier = grown
 
-    z: dict[str, int] = {s: 0 for s in graph.terminals}
-    full = []
-    edges: set[EdgeId] = set()
-    for path, _ in kept:
-        edges.update(path)
-        end = path[-1][1]
-        if end in terminals:
-            z[end] += 1
-            full.append(path)
+    full = tuple(path for path, _, _ in frontier)
+    z = dict.fromkeys(graph.terminals, 0)
+    for path in full:
+        z[path[-1][1]] += 1
     return SampleRun(
-        paths=tuple(path for path, _ in kept),
-        edges=frozenset(edges),
-        full_paths=tuple(full),
+        paths=tuple(kept),
+        # prefix-closed: every edge of a kept path ends a kept path
+        edges=frozenset(path[-1] for path in kept),
+        full_paths=full,
         z=z,
         queries=queries,
         clamps=clamps,
@@ -173,7 +153,6 @@ class RoundResult:
     repetitions: int
     queries: int
     clamps: int
-    z_totals: dict[str, int]
 
 
 def round_solution(
@@ -195,14 +174,11 @@ def round_solution(
     union: set[EdgeId] = set()
     queries = 0
     clamps = 0
-    z_totals = {s: 0 for s in graph.terminals}
     for trial in range(reps):
         run = sample_once(oracle, layered, trial_rng(seed, trial))
         union.update(run.edges)
         queries += run.queries
         clamps += run.clamps
-        for s, count in run.z.items():
-            z_totals[s] += count
 
     reached = reachable([graph.root], union)
     connected = {s: s in reached for s in graph.terminals}
@@ -224,7 +200,6 @@ def round_solution(
         repetitions=reps,
         queries=queries,
         clamps=clamps,
-        z_totals=z_totals,
     )
 
 
@@ -298,7 +273,6 @@ def collect_stats(
     queries = 0
     clamps = 0
     dead = 0
-    terminal_of_level = set(graph.terminals)
     for trial in range(trials):
         run = sample_once(oracle, layered, trial_rng(seed, trial))
         queries += run.queries
@@ -322,7 +296,6 @@ def collect_stats(
         var = sum(c * (v - mean) ** 2 for v, c in hist.items()) / max(trials - 1, 1)
         pos_trials = sum(c for v, c in hist.items() if v >= 1)
         p_pos = pos_trials / trials
-        se_p = math.sqrt(max(p_pos * (1 - p_pos), 0.0) / trials)
         if pos_trials:
             mean_pos = total / pos_trials
             var_pos = (
@@ -340,38 +313,28 @@ def collect_stats(
                 mean_z=mean,
                 se_mean_z=math.sqrt(var / trials),
                 p_positive=p_pos,
-                se_p_positive=se_p,
+                se_p_positive=_se(p_pos, trials),
                 mean_z_given_positive=mean_pos,
                 se_z_given_positive=se_pos,
             )
         )
 
-    # Every enumerated path, then sampled full paths outside that list.
-    listed = [
-        (s, record.edges)
-        for s in graph.terminals
-        for record in enumerate_paths(layered, s)
-    ]
-    covered = {path for _, path in listed}
-    listed += [
-        (path[-1][1], path)
-        for path in sorted(path_hits)
-        if path not in covered and path[-1][1] in terminal_of_level
-    ]
+    # Every sampled full path ends at a terminal, so each terminal's
+    # enumerated root paths list every path that was hit.
     path_rows = []
-    for s, path in listed:
-        hits = path_hits.get(path, 0)
-        freq = hits / trials
-        path_rows.append(
-            PathStats(
-                terminal=s,
-                path=path,
-                oracle_value=oracle.query(frozenset(path)),
-                hits=hits,
-                frequency=freq,
-                se=math.sqrt(max(freq * (1 - freq), 0.0) / trials),
+    for s in graph.terminals:
+        for record in enumerate_paths(layered, s):
+            hits = path_hits.get(record.edges, 0)
+            path_rows.append(
+                PathStats(
+                    terminal=s,
+                    path=record.edges,
+                    oracle_value=oracle.query(frozenset(record.edges)),
+                    hits=hits,
+                    frequency=hits / trials,
+                    se=_se(hits / trials, trials),
+                )
             )
-        )
 
     edge_rows = []
     frac_cost = 0.0
@@ -386,7 +349,7 @@ def collect_stats(
                 oracle_value=value,
                 hits=hits,
                 frequency=freq,
-                se=math.sqrt(max(freq * (1 - freq), 0.0) / trials),
+                se=_se(freq, trials),
             )
         )
 
@@ -439,7 +402,10 @@ def edge_marginal_check(
     graph = layered.graph
     edge_rows = []
     for e, _ in graph.edges:
-        total = _path_sum(oracle, layered, e)
+        total = sum(
+            (oracle.query(frozenset(r.edges)) for r in enumerate_paths(layered, e)),
+            Fraction(0),
+        )
         bound = oracle.query(frozenset((e,)))
         edge_rows.append(
             MarginalRow(
@@ -488,16 +454,9 @@ def edge_marginal_check(
     )
 
 
-def _path_sum(
-    oracle: MomentOracle, layered: LayeredInstance, edge: EdgeId
-):
-    total = None
-    for record in enumerate_paths(layered, edge):
-        w = oracle.query(frozenset(record.edges))
-        total = w if total is None else total + w
-    if total is None:
-        return Fraction(0)
-    return total
+def _se(freq: float, trials: int) -> float:
+    """Binomial standard error of a frequency over `trials` draws."""
+    return math.sqrt(max(freq * (1 - freq), 0.0) / trials)
 
 
 def _greater(value, bound, tol: float) -> bool:

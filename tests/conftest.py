@@ -97,6 +97,25 @@ def tiny_diamond():
     )
 
 
+def tiny_layered3():
+    """Three levels, two terminals: s1 has three root paths, s2 has two."""
+    return make_instance(
+        ["r", "a", "b", "c", "d", "s1", "s2"],
+        [
+            ("r", "a", Fraction(1)),
+            ("r", "b", Fraction(2)),
+            ("a", "c", Fraction(1)),
+            ("a", "d", Fraction(3)),
+            ("b", "d", Fraction(1)),
+            ("c", "s1", Fraction(2)),
+            ("d", "s1", Fraction(1)),
+            ("d", "s2", Fraction(2)),
+        ],
+        "r",
+        ["s1", "s2"],
+    )
+
+
 def tiny_chain():
     return make_instance(
         ["r", "a", "s"],

@@ -17,9 +17,9 @@ import dstlift
 from dstlift.cli import main
 from dstlift.flow_lp import build_flow_lp, format_lp_dump, parse_lp_dump
 from dstlift.instance import as_layered, format_instance, parse_instance
-from dstlift.moments import export_moments, from_distribution
+from dstlift.moments import MomentVector, export_moments, from_distribution, mask_of
 
-from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond
+from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond, tiny_layered3
 
 
 def run_cli(argv, capsys):
@@ -310,6 +310,61 @@ def test_stats(diamond_file, diamond_moments, tmp_path, capsys):
     lines = plot.read_text().splitlines()
     assert lines[0].startswith("# terminal")
     assert lines[1].startswith("s ")
+
+
+def _edges(path):
+    nodes = path.split()
+    return list(zip(nodes, nodes[1:]))
+
+
+def layered3_moments_text(exact=True):
+    """Level-1 moments of a mix of three trees on `tiny_layered3`.
+
+    The float copy raises two path moments above their prefixes' moments, so
+    the ratio of r->a->d over r->a (second step) and of r->b->d->s1 over
+    r->b->d (third step) clamp to one.
+    """
+    _, vmap = build_flow_lp(as_layered(tiny_layered3()))
+    trees = [
+        (Fraction(1, 2), ("r a c s1", "r b d s2")),
+        (Fraction(1, 3), ("r a d s1", "r a d s2")),
+        (Fraction(1, 6), ("r b d s1", "r b d s2")),
+    ]
+    dist = []
+    for mass, paths in trees:
+        point = [0] * vmap.n_vars
+        for s, path in zip(("s1", "s2"), paths):
+            for edge in _edges(path):
+                point[vmap.edge_ordinal(edge)] = 1
+                point[vmap.flow_ordinal(s, edge)] = 1
+        dist.append((mass, tuple(point)))
+    y = from_distribution(dist, 1)
+    if not exact:
+        entries = {k: float(v) for k, v in y.entries.items()}
+        for path, value in (("r a d", 0.9), ("r b d s1", 0.7)):
+            entries[mask_of(vmap.edge_ordinal(e) for e in _edges(path))] = value
+        y = MomentVector(y.n_vars, y.level, entries, exact=False)
+    return export_moments(y)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("command", ["round", "stats"])
+def test_sampling_bytes_are_pinned(command, kind, tmp_path, capsys):
+    """`round` and `stats` stdout on three levels and two terminals; the
+    goldens pin the sampler's draw order, query counts and clamps."""
+    inst_file = tmp_path / "layered3.dst"
+    inst_file.write_text(format_instance(tiny_layered3()))
+    moments_file = tmp_path / "layered3.mv"
+    moments_file.write_text(layered3_moments_text(exact=kind == "exact"))
+    argv = [command, str(inst_file), "--moments", str(moments_file), "--seed", "1"]
+    argv += ["--reps", "2", "--trials", "3"] if command == "round" else ["--trials", "200"]
+    code, out, _ = run_twice(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    runs = payload["runs"] if command == "round" else [payload]
+    clamps = sum(run["clamps"] for run in runs)
+    assert (clamps > 0) == (kind == "float")
+    assert out == (GOLDEN / f"{command}_layered3_{kind}.json").read_text()
 
 
 def test_exact(reference_file, capsys):

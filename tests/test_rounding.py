@@ -24,7 +24,7 @@ from dstlift.rounding import (
     trial_rng,
 )
 
-from conftest import tiny_chain, tiny_diamond
+from conftest import tiny_chain, tiny_diamond, tiny_layered3
 
 RA, RB = ("r", "a"), ("r", "b")
 AS, BS = ("a", "s"), ("b", "s")
@@ -177,6 +177,41 @@ def test_dead_path_not_extended():
     assert run.dead == 1  # kept but below the extension floor
 
 
+def test_third_level_clamps_and_dead_paths():
+    # AlwaysKeep keeps every candidate of positive probability.  Step two
+    # clamps r->b->d (ratio 3/2) and keeps r->a->d at a moment below the
+    # floor; step three clamps r->a->c->s1 (ratio 2) and r->b->d->s1
+    # (ratio -1/3), and leaves the dead r->a->d unextended.
+    ra, rb, ac, ad, bd = ("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("b", "d")
+    cs1, ds1, ds2 = ("c", "s1"), ("d", "s1"), ("d", "s2")
+    table = {
+        (ra,): Fraction(1, 2),
+        (rb,): Fraction(1, 2),
+        (ra, ac): Fraction(1, 2),
+        (ra, ad): Fraction(1, 10**13),
+        (rb, bd): Fraction(3, 4),
+        (ra, ac, cs1): Fraction(1),
+        (rb, bd, ds1): Fraction(-1, 4),
+        (rb, bd, ds2): Fraction(3, 4),
+    }
+    oracle = DictOracle(table)
+    run = sample_once(oracle, as_layered(tiny_layered3()), AlwaysKeep())
+    assert run.paths == (
+        (ra,),
+        (rb,),
+        (ra, ac),
+        (ra, ad),
+        (rb, bd),
+        (ra, ac, cs1),
+        (rb, bd, ds2),
+    )
+    assert run.full_paths == ((ra, ac, cs1), (rb, bd, ds2))
+    assert run.z == {"s1": 1, "s2": 1}
+    assert run.clamps == 3
+    assert run.dead == 1
+    assert run.queries == oracle.queries == 8
+
+
 def test_round_always_feasible_and_deterministic():
     inst, layered, oracle = diamond_setup()
     for seed in range(8):
@@ -231,6 +266,39 @@ def test_collect_stats_frequencies_match_oracle():
     )
     assert term.mean_z_given_positive <= layered.ell + 1
     assert report.mean_cost <= report.fractional_cost + 4 * report.se_cost
+
+
+def test_collect_stats_lists_every_sampled_full_path():
+    # every sampled full path ends at a terminal, so the enumerated paths
+    # cover them: per-path hits add up to the sampled full-path count
+    inst = tiny_layered3()
+    layered = as_layered(inst)
+    _, vmap = build_flow_lp(layered)
+    trees = [
+        (Fraction(1, 2), [RA, ("a", "c"), ("c", "s1"), RB, ("b", "d"), ("d", "s2")]),
+        (Fraction(1, 3), [RA, ("a", "d"), ("d", "s1"), ("d", "s2")]),
+        (Fraction(1, 6), [RB, ("b", "d"), ("d", "s1"), ("d", "s2")]),
+    ]
+    dist = []
+    for mass, edges in trees:
+        point = [0] * vmap.n_vars
+        for e in edges:
+            point[vmap.edge_ordinal(e)] = 1
+        dist.append((mass, tuple(point)))
+    oracle = VectorOracle(from_distribution(dist, 1), vmap)
+    trials = 300
+    report = collect_stats(oracle, layered, trials, seed=4)
+    sampled = {}
+    for trial in range(trials):
+        for path in sample_once(oracle, layered, trial_rng(4, trial)).full_paths:
+            sampled[path] = sampled.get(path, 0) + 1
+    rows = {row.path: row for row in report.paths}
+    assert len(rows) == len(report.paths) == 5
+    assert set(sampled) <= set(rows)
+    for path, row in rows.items():
+        assert row.terminal == path[-1][1]
+        assert row.hits == sampled.get(path, 0)
+    assert report.clamps == 0 and report.dead == 0
 
 
 def test_collect_stats_deterministic():
