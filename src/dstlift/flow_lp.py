@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .instance import DstInstance, EdgeId, LayeredInstance, format_cost, parse_cost
+from .instance import DstInstance, EdgeId, InstanceError, LayeredInstance
+from .instance import format_cost, parse_rational
 
 
 class LpFormatError(ValueError):
@@ -379,12 +380,6 @@ def format_lp_dump(cs: ConstraintSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_signed(token: str) -> Fraction:
-    neg = token.startswith("-")
-    mag = parse_cost(token[1:] if neg else token)
-    return -mag if neg else mag
-
-
 def parse_lp_dump(text: str) -> ConstraintSystem:
     lines = [
         ln.split("#", 1)[0].strip()
@@ -403,13 +398,15 @@ def parse_lp_dump(text: str) -> ConstraintSystem:
     obj_parts = lines[1].split()
     if obj_parts[0] != "min" or len(obj_parts) != n + 1:
         raise LpFormatError("objective wants 'min' and one token per variable")
-    objective = tuple(_parse_signed(t) for t in obj_parts[1:])
-    rows = []
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] != "ge" or len(parts) != n + 3:
-            raise LpFormatError(f"row wants 'ge', {n} coefficients, rhs, label: {ln!r}")
-        coeffs = {j: _parse_signed(t) for j, t in enumerate(parts[1 : n + 1])}
-        rhs = _parse_signed(parts[n + 1])
-        rows.append(Row(coeffs, rhs, parts[n + 2]))
+    try:
+        objective = tuple(map(parse_rational, obj_parts[1:]))
+        rows = []
+        for ln in lines[2:]:
+            parts = ln.split()
+            if parts[0] != "ge" or len(parts) != n + 3:
+                raise LpFormatError(f"row wants 'ge', {n} coefficients, rhs, label: {ln!r}")
+            coeffs = dict(enumerate(map(parse_rational, parts[1 : n + 1])))
+            rows.append(Row(coeffs, parse_rational(parts[n + 1]), parts[n + 2]))
+    except InstanceError as exc:
+        raise LpFormatError(str(exc)) from exc
     return ConstraintSystem(n_vars=n, rows=tuple(rows), objective=objective)

@@ -27,12 +27,17 @@ class LayeringError(ValueError):
     """Raised when a graph does not admit the requested layer structure."""
 
 
+def parse_rational(token: str) -> Fraction:
+    """Parse a decimal ('-1.5') or ratio ('-3/2'): one sign, next to the digits."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"bad number {token!r}") from exc
+
+
 def parse_cost(token: str) -> Fraction:
     """Parse a nonnegative cost given as a decimal ('1.5') or ratio ('3/2')."""
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"bad cost token {token!r}") from exc
+    value = parse_rational(token)
     if value < 0:
         raise InstanceError(f"negative cost {token!r}")
     return value

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .exact import CapExceededError
-from .instance import format_cost
+from .instance import format_cost, parse_rational
 
 Value = Union[Fraction, float]
 IndexSet = tuple[int, ...]
@@ -695,11 +695,13 @@ def certify(
 
 
 def export_moments(y: MomentVector) -> str:
-    """Serialize a complete moment vector: header then `ordinals : value` lines."""
+    """The header, then one `ordinals : value` line per entry in `masks_upto` order."""
     lines = [f"moments {y.n_vars} {y.level}"]
-    items = [(set_of(k), v) for k, v in y.entries.items()]
-    for key, value in sorted(items, key=lambda kv: (len(kv[0]), kv[0])):
-        left = " ".join(str(i) for i in key)
+    entries = y.entries
+    top = max(map(int.bit_count, entries), default=-1)
+    for mask in filter(entries.__contains__, masks_upto(y.n_vars, top)):
+        value = entries[mask]
+        left = " ".join(map(str, set_of(mask)))
         if isinstance(value, Fraction):
             right = format_cost(value)
         else:
@@ -745,9 +747,7 @@ def import_moments(text: str) -> MomentVector:
     entries: dict[int, Value] = {}
     for key, tok in raw.items():
         try:
-            entries[mask_of(key)] = float(tok) if floaty else (
-                -Fraction(tok[1:]) if tok.startswith("-") else Fraction(tok)
-            )
+            entries[mask_of(key)] = float(tok) if floaty else parse_rational(tok)
         except (ValueError, ZeroDivisionError) as exc:
             raise MomentFormatError(f"bad value {tok!r}") from exc
     y = MomentVector(n, level, entries, exact=not floaty)

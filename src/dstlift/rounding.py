@@ -3,10 +3,12 @@
 Sampling grows root paths level by level from the empty path, whose moment
 is one: a kept path P extends along each outgoing edge e of its end with the
 conditional probability y(P + e) / y(P), which for the empty path is the
-root edge's own moment.  The kept set is prefix-closed, so its edge union is
-exactly the union of its paths.  Repetition plus cheapest-path repair for
-missed terminals yields a feasible tree; `stats` measures the per-path hit
-rates, per-terminal path counts, and cost against what the moments promise.
+root edge's own moment.  A query takes the path's edges as they are; the
+vector oracle ORs their bits into one mask and reads one entry.  The kept
+set is prefix-closed, so its edge union is exactly the union of its paths.
+Repetition plus cheapest-path repair for missed terminals yields a feasible
+tree; `stats` measures the per-path hit rates, per-terminal path counts, and
+cost against what the moments promise.
 
 Randomness comes from a counter-based generator keyed by (seed, trial), so
 every trial is reproducible in isolation and the draw order is fixed by the
@@ -16,15 +18,15 @@ documented traversal order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Union
+from typing import Collection, Iterable, Protocol
 
 import numpy as np
 
 from .exact import enumerate_paths
 from .instance import (
-    DstInstance,
     EdgeId,
     LayeredInstance,
     PathRecord,
@@ -33,30 +35,34 @@ from .instance import (
     verify_solution,
 )
 from .flow_lp import VariableMap
-from .moments import MomentVector
-
-Value = Union[Fraction, float]
+from .moments import MissingMomentError, MomentVector, Value, set_of
 
 DEAD_PATH_TOL = 1.0e-12
 
 
 class MomentOracle(Protocol):
-    """Moment access keyed by sets of layered edges."""
+    """Moment access keyed by a path's edges: any iterable of distinct edges."""
 
-    def query(self, edges: frozenset[EdgeId]) -> Value: ...
+    def query(self, edges: Iterable[EdgeId]) -> Value: ...
 
 
 class VectorOracle:
-    """Oracle backed by a moment vector over a layered instance's variables."""
+    """Moment-vector oracle: a query ORs its edges' ordinal bits, reads one entry."""
 
     def __init__(self, vector: MomentVector, vmap: VariableMap):
         self.vector = vector
-        self.vmap = vmap
         self.queries = 0
+        self._bit = {e: 1 << vmap.edge_ordinal(e) for e in vmap.edge_list}
 
-    def query(self, edges: frozenset[EdgeId]) -> Value:
+    def query(self, edges: Iterable[EdgeId]) -> Value:
         self.queries += 1
-        return self.vector.value(self.vmap.edge_ordinal(e) for e in edges)
+        mask = 0
+        for e in edges:
+            mask |= self._bit[e]
+        try:
+            return self.vector.entries[mask]
+        except KeyError:
+            raise MissingMomentError(set_of(mask)) from None
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -71,13 +77,9 @@ class SampleRun:
     paths: tuple[tuple[EdgeId, ...], ...]
     edges: frozenset[EdgeId]
     full_paths: tuple[tuple[EdgeId, ...], ...]
-    z: dict[str, int]
     queries: int
     clamps: int
     dead: int
-
-    def cost(self, graph: DstInstance) -> Fraction:
-        return sum((graph.cost(e) for e in self.edges), Fraction(0))
 
 
 def sample_once(
@@ -111,26 +113,22 @@ def sample_once(
                 continue
             for edge in graph.out_edges[end]:
                 queries += 1
-                extended = oracle.query(frozenset(path) | {edge})
+                ext = path + (edge,)
+                extended = oracle.query(ext)
                 prob = float(extended / weight if path else extended)
                 if prob < 0.0 or prob > 1.0:
                     clamps += 1
                     prob = min(1.0, max(0.0, prob))
                 if rng.random() < prob:
-                    grown.append((path + (edge,), edge[1], extended))
+                    grown.append((ext, edge[1], extended))
         kept.extend(path for path, _, _ in grown)
         frontier = grown
 
-    full = tuple(path for path, _, _ in frontier)
-    z = dict.fromkeys(graph.terminals, 0)
-    for path in full:
-        z[path[-1][1]] += 1
     return SampleRun(
         paths=tuple(kept),
         # prefix-closed: every edge of a kept path ends a kept path
         edges=frozenset(path[-1] for path in kept),
-        full_paths=full,
-        z=z,
+        full_paths=tuple(path for path, _, _ in frontier),
         queries=queries,
         clamps=clamps,
         dead=dead,
@@ -265,9 +263,13 @@ def collect_stats(
     graph = layered.graph
     if trials < 1:
         raise ValueError("need at least one trial")
-    z_hist: dict[str, dict[int, int]] = {s: {} for s in graph.terminals}
-    path_hits: dict[tuple[EdgeId, ...], int] = {}
-    edge_hits: dict[EdgeId, int] = {e: 0 for e, _ in graph.edges}
+    # Int costs over a common denominator: a tree's cost is an exact sum,
+    # so its float does not depend on the hash order of `run.edges`.
+    scale = math.lcm(*(c.denominator for c in graph.cost_map.values()))
+    scaled = {e: int(c * scale) for e, c in graph.cost_map.items()}
+    z_hist: dict[str, Counter[int]] = {s: Counter() for s in graph.terminals}
+    path_hits: Counter[tuple[EdgeId, ...]] = Counter()
+    edge_hits: Counter[EdgeId] = Counter()
     cost_sum = 0.0
     cost_sq = 0.0
     queries = 0
@@ -278,40 +280,28 @@ def collect_stats(
         queries += run.queries
         clamps += run.clamps
         dead += run.dead
-        for s, count in run.z.items():
-            z_hist[s][count] = z_hist[s].get(count, 0) + 1
-        for path in run.full_paths:
-            path_hits[path] = path_hits.get(path, 0) + 1
-        for e in run.edges:
-            edge_hits[e] += 1
-        c = float(run.cost(graph))
+        ends = Counter(path[-1][1] for path in run.full_paths)
+        for s, hist in z_hist.items():
+            hist[ends[s]] += 1
+        path_hits.update(run.full_paths)
+        edge_hits.update(run.edges)
+        c = sum(scaled[e] for e in run.edges) / scale
         cost_sum += c
         cost_sq += c * c
 
     terminals = []
-    for s in graph.terminals:
-        hist = z_hist[s]
-        total = sum(v * c for v, c in hist.items())
-        mean = total / trials
-        var = sum(c * (v - mean) ** 2 for v, c in hist.items()) / max(trials - 1, 1)
-        pos_trials = sum(c for v, c in hist.items() if v >= 1)
+    for s, hist in z_hist.items():
+        mean, se = _mean_se(hist.items(), trials)
+        positive = [(v, c) for v, c in hist.items() if v >= 1]
+        pos_trials = sum(c for _, c in positive)
         p_pos = pos_trials / trials
-        if pos_trials:
-            mean_pos = total / pos_trials
-            var_pos = (
-                sum(c * (v - mean_pos) ** 2 for v, c in hist.items() if v >= 1)
-                / max(pos_trials - 1, 1)
-            )
-            se_pos = math.sqrt(var_pos / pos_trials)
-        else:
-            mean_pos = None
-            se_pos = None
+        mean_pos, se_pos = _mean_se(positive, pos_trials) if pos_trials else (None, None)
         terminals.append(
             TerminalStats(
                 terminal=s,
                 trials=trials,
                 mean_z=mean,
-                se_mean_z=math.sqrt(var / trials),
+                se_mean_z=se,
                 p_positive=p_pos,
                 se_p_positive=_se(p_pos, trials),
                 mean_z_given_positive=mean_pos,
@@ -324,12 +314,12 @@ def collect_stats(
     path_rows = []
     for s in graph.terminals:
         for record in enumerate_paths(layered, s):
-            hits = path_hits.get(record.edges, 0)
+            hits = path_hits[record.edges]
             path_rows.append(
                 PathStats(
                     terminal=s,
                     path=record.edges,
-                    oracle_value=oracle.query(frozenset(record.edges)),
+                    oracle_value=oracle.query(record.edges),
                     hits=hits,
                     frequency=hits / trials,
                     se=_se(hits / trials, trials),
@@ -341,7 +331,7 @@ def collect_stats(
     for e, cost in graph.edges:
         hits = edge_hits[e]
         freq = hits / trials
-        value = oracle.query(frozenset((e,)))
+        value = oracle.query((e,))
         frac_cost += float(cost) * float(value)
         edge_rows.append(
             EdgeStats(
@@ -403,10 +393,10 @@ def edge_marginal_check(
     edge_rows = []
     for e, _ in graph.edges:
         total = sum(
-            (oracle.query(frozenset(r.edges)) for r in enumerate_paths(layered, e)),
+            (oracle.query(r.edges) for r in enumerate_paths(layered, e)),
             Fraction(0),
         )
-        bound = oracle.query(frozenset((e,)))
+        bound = oracle.query((e,))
         edge_rows.append(
             MarginalRow(
                 label=f"edge[{e[0]}->{e[1]}]",
@@ -420,7 +410,7 @@ def edge_marginal_check(
     prefix_rows = []
     for s in graph.terminals:
         records = [p.edges for p in enumerate_paths(layered, s)]
-        weights = {p: oracle.query(frozenset(p)) for p in records}
+        weights = {p: oracle.query(p) for p in records}
         total = sum(weights.values())
         deviation = abs(total - 1)
         terminal_rows.append(
@@ -436,7 +426,7 @@ def edge_marginal_check(
         )
         for prefix in prefixes:
             partial = sum(w for p, w in weights.items() if p[: len(prefix)] == prefix)
-            bound = oracle.query(frozenset(prefix))
+            bound = oracle.query(prefix)
             prefix_rows.append(
                 MarginalRow(
                     label=f"prefix[{s}][{prefix!r}]",
@@ -452,6 +442,13 @@ def edge_marginal_check(
         prefix_rows=prefix_rows,
         ok=ok,
     )
+
+
+def _mean_se(pairs: Collection[tuple[int, int]], n: int) -> tuple[float, float]:
+    """Mean and its standard error over `n` draws given (value, count) pairs."""
+    mean = sum(v * c for v, c in pairs) / n
+    var = sum(c * (v - mean) ** 2 for v, c in pairs) / max(n - 1, 1)
+    return mean, math.sqrt(var / n)
 
 
 def _se(freq: float, trials: int) -> float:

@@ -278,6 +278,10 @@ def test_lp_dump_rejects_malformed():
         parse_lp_dump("nope\n")
     with pytest.raises(LpFormatError):
         parse_lp_dump("lpdump 2 1\nmin 1 1\nge 1 0\n")  # missing rhs/label
+    with pytest.raises(LpFormatError):
+        parse_lp_dump("lpdump 1 0\nmin --1\n")  # doubled sign
+    with pytest.raises(LpFormatError):
+        parse_lp_dump("lpdump 1 1\nmin 1\nge 1 --1 r\n")
 
 
 def test_lp_feasible_pinning():

@@ -6,6 +6,7 @@ for rational PSD questions, and (c) the algebraic inclusion-exclusion
 identities evaluated on arbitrary (not necessarily feasible) vectors.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -553,6 +554,13 @@ def test_export_moments_bytes_are_pinned():
     text = export_moments(y) + export_moments(z)
     golden = Path(__file__).resolve().parent / "golden" / "export_moments.txt"
     assert text == golden.read_text()
+    # the same bytes from entries stored in the opposite order: with four
+    # variables numeric mask order ({1,2} = 0b0110 < {0,3} = 0b1001) is not
+    # the file's lex order
+    flipped = [
+        dataclasses.replace(v, entries=dict(reversed(v.entries.items()))) for v in (y, z)
+    ]
+    assert "".join(map(export_moments, flipped)) == text
 
 
 def test_moment_file_round_trip_float():
@@ -578,6 +586,9 @@ def test_moment_file_errors():
         import_moments("moments 1 0\n: 1\n1 0 : 1\n")  # unsorted ordinals
     with pytest.raises(MomentFormatError):
         import_moments("moments 1 0\n: 1\n3 : 1\n")  # out of range
+    for value in ("--1/2", "- 1/2"):  # one sign, next to the digits
+        with pytest.raises(MomentFormatError):
+            import_moments(f"moments 1 0\n: 1\n0 : {value}\n")
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 
 from dstlift.flow_lp import build_flow_lp
 from dstlift.instance import as_layered, verify_solution
-from dstlift.moments import from_distribution
+from dstlift.moments import MissingMomentError, from_distribution
 from dstlift.rounding import (
     VectorOracle,
     collect_stats,
@@ -72,6 +72,29 @@ def diamond_setup():
     return inst, layered, VectorOracle(vector, vmap)
 
 
+def test_vector_oracle_takes_any_iterable_of_edges():
+    _, _, oracle = diamond_setup()
+    path = (RB, BS)
+    assert oracle.query(path) == Fraction(3, 4)
+    assert oracle.query(frozenset(path)) == Fraction(3, 4)
+    assert oracle.query(e for e in path) == Fraction(3, 4)
+    assert oracle.query(()) == 1
+    assert oracle.queries == 4
+
+
+def test_vector_oracle_missing_moment_names_ordinals():
+    layered = as_layered(tiny_layered3())
+    _, vmap = build_flow_lp(layered)
+    # level 0 stores the subsets of at most two variables
+    y = from_distribution([(Fraction(1), (0,) * vmap.n_vars)], 0)
+    oracle = VectorOracle(y, vmap)
+    path = (("r", "a"), ("a", "c"), ("c", "s1"))
+    assert oracle.query(path[:2]) == 0
+    with pytest.raises(MissingMomentError) as info:
+        oracle.query(path)
+    assert info.value.index_set == tuple(sorted(vmap.edge_ordinal(e) for e in path))
+
+
 def test_trial_rng_reproducible_and_distinct():
     a = trial_rng(7, 3).random(5).tolist()
     b = trial_rng(7, 3).random(5).tolist()
@@ -102,7 +125,7 @@ def test_sample_once_prefix_closed_and_consistent():
         assert run.edges == frozenset(e for p in run.paths for e in p)
         for path in run.full_paths:
             assert path[-1][1] == "s"
-        assert run.z["s"] == len(run.full_paths)
+        assert sum(p[-1][1] == "s" for p in run.full_paths) == len(run.full_paths)
         assert run.clamps == 0 and run.dead == 0
 
 
@@ -206,7 +229,7 @@ def test_third_level_clamps_and_dead_paths():
         (rb, bd, ds2),
     )
     assert run.full_paths == ((ra, ac, cs1), (rb, bd, ds2))
-    assert run.z == {"s1": 1, "s2": 1}
+    assert [p[-1][1] for p in run.full_paths] == ["s1", "s2"]
     assert run.clamps == 3
     assert run.dead == 1
     assert run.queries == oracle.queries == 8
