@@ -66,7 +66,7 @@ def _cmd_lift_dim(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     cs, _ = flow_lp.build_flow_lp(layered)
     dims = lasserre.lift_dimensions(cs.n_vars, args.level)
-    budget = lasserre.resolve_budget(args.budget)
+    budget = lasserre.DEFAULT_BUDGET if args.budget is None else args.budget
     payload = dict(dims)
     payload.update(
         {
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("experiment", help="run a reporting suite")
-    p.add_argument("--suite", choices=["smoke", "gap", "full"], required=True)
+    p.add_argument("--suite", choices=list(harness.SUITES), required=True)
     p.add_argument("--tol", type=float, default=1.0e-7)
     p.add_argument("--max-iter", type=int, default=20000)
     p.add_argument("--budget", type=int, default=None)

@@ -1,4 +1,4 @@
-"""Exact reference computations: optimal Steiner trees and path enumeration.
+"""Exact reference computations: optimal Steiner trees and the root-path table.
 
 Everything here runs in exact rational arithmetic and is meant for desk-scale
 instances, where it serves as ground truth for the LP/SDP relaxations and the
@@ -117,44 +117,33 @@ def exact_opt(inst: DstInstance) -> ExactResult:
     return ExactResult(cost=best[full][inst.root], edges=frozenset(edges), states=states)
 
 
-def enumerate_paths(
-    layered: LayeredInstance, target: str | EdgeId
-) -> list[PathRecord]:
-    """All root paths in a layered graph ending at a node or with an edge.
+def root_paths(layered: LayeredInstance) -> dict[str, list[tuple[EdgeId, ...]]]:
+    """Every root path of a layered graph as an edge sequence, keyed by end node.
 
-    For a node target this is every directed root-to-node path; for an edge
-    target, every root path whose final edge is exactly that edge.  Output is
-    sorted by edge sequence for reproducibility.  More than PATH_CAP paths is
-    an error rather than a truncation.
+    The root holds the empty path.  Levels are walked in order, and a node's
+    paths are its in-edges appended to their tails' paths, sorted by edge
+    sequence for reproducibility.  More than PATH_CAP paths to any one node
+    is an error rather than a truncation, raised as the table is built.
     """
     graph = layered.graph
-    if isinstance(target, tuple):
-        tail, head = target
-        if target not in graph.cost_map:
-            raise ValueError(f"unknown edge {target!r}")
-        if tail == graph.root:
-            return [trace_path(graph, [target])]
-        stems = enumerate_paths(layered, tail)
-        return [trace_path(graph, p.edges + (target,)) for p in stems]
+    paths: dict[str, list[tuple[EdgeId, ...]]] = {graph.root: [()]}
+    for level in layered.levels[1:]:
+        for v in level:
+            found = sorted(p + (e,) for e in graph.in_edges[v] for p in paths[e[0]])
+            if len(found) > PATH_CAP:
+                raise CapExceededError(f"more than {PATH_CAP} paths to {v!r}")
+            paths[v] = found
+    return paths
 
+
+def enumerate_paths(layered: LayeredInstance, target: str) -> list[PathRecord]:
+    """All root-to-`target` paths in a layered graph, sorted by edge sequence.
+
+    The root's only path is empty, which is not a PathRecord: it gets none.
+    """
+    graph = layered.graph
     if target not in set(graph.nodes):
         raise ValueError(f"unknown node {target!r}")
     if target == graph.root:
         return []
-    found: list[tuple[EdgeId, ...]] = []
-    prefix: list[EdgeId] = []
-
-    def walk(v: str) -> None:
-        if v == target:
-            found.append(tuple(prefix))
-            if len(found) > PATH_CAP:
-                raise CapExceededError(f"more than {PATH_CAP} paths to {target!r}")
-            return
-        for edge in graph.out_edges[v]:
-            prefix.append(edge)
-            walk(edge[1])
-            prefix.pop()
-
-    walk(graph.root)
-    found.sort()
-    return [trace_path(graph, edges) for edges in found]
+    return [trace_path(graph, p) for p in root_paths(layered)[target]]

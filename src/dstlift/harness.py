@@ -307,11 +307,6 @@ def _map_back_cost(layered: LayeredInstance, result: rounding.RoundResult):
     return cost
 
 
-SMOKE_SUITE = "smoke"
-GAP_SUITE = "gap"
-FULL_SUITE = "full"
-
-
 def _smoke_rows(config: PipelineConfig) -> list[dict]:
     chain = make_instance(
         ["r", "a", "s"],
@@ -369,19 +364,16 @@ def _full_rows(config: PipelineConfig) -> list[dict]:
     return rows
 
 
+SUITES = {"smoke": _smoke_rows, "gap": _gap_rows, "full": _full_rows}
+
+
 def run_experiment(
     suite: str, config: PipelineConfig | None = None
 ) -> dict:
     """Run a named suite and return its JSON-ready report."""
-    cfg = config or PipelineConfig()
-    if suite == SMOKE_SUITE:
-        rows = _smoke_rows(cfg)
-    elif suite == GAP_SUITE:
-        rows = _gap_rows(cfg)
-    elif suite == FULL_SUITE:
-        rows = _full_rows(cfg)
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    rows = SUITES[suite](config or PipelineConfig())
     return {
         "suite": suite,
         "rows": rows,

@@ -333,10 +333,6 @@ class LayeredInstance:
     levels: tuple[tuple[str, ...], ...]
     expansion: Mapping[EdgeId, tuple[EdgeId, ...]] = field(hash=False)
 
-    @cached_property
-    def level_of(self) -> dict[str, int]:
-        return {v: j for j, layer in enumerate(self.levels) for v in layer}
-
 
 def _copy_name(node: str, level: int) -> str:
     return f"{node}@{level}"

@@ -23,7 +23,6 @@ is the authority on feasibility quality.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from .flow_lp import ConstraintSystem
 from .moments import MomentFormatError, MomentVector, import_moments, masks_upto
 
 DEFAULT_BUDGET = 2000
-BUDGET_ENV = "DSTLIFT_MOMENT_BUDGET"
 
 
 class BudgetError(RuntimeError):
@@ -45,18 +43,6 @@ class BudgetError(RuntimeError):
         self.main_dim = main_dim
         self.row_dim = row_dim
         self.n_free = n_free
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {BUDGET_ENV} value {raw!r}") from exc
 
 
 def lift_dimensions(n_vars: int, level: int) -> dict[str, int]:
@@ -87,7 +73,6 @@ class SdpProblem:
     main_dim: int
     row_dim: int
     n_row_blocks: int
-    row_labels: tuple[str, ...]
     L: sp.csr_matrix = field(repr=False)
     C: np.ndarray = field(repr=False)
     objective: np.ndarray = field(repr=False)
@@ -132,13 +117,12 @@ def assemble(
 ) -> SdpProblem:
     """Build the level-`level` lift of a constraint system.
 
-    The budget (argument, else the DSTLIFT_MOMENT_BUDGET environment
-    variable, else 2000) caps the main block dimension and is checked
-    arithmetically before anything is enumerated.
+    The budget (DEFAULT_BUDGET when None) caps the main block dimension and
+    is checked arithmetically before anything is enumerated.
     """
     n = cs.n_vars
     dims = lift_dimensions(n, level)
-    cap = resolve_budget(budget)
+    cap = DEFAULT_BUDGET if budget is None else budget
     if dims["main_dim"] > cap:
         raise BudgetError(
             f"main moment matrix is {dims['main_dim']}x{dims['main_dim']} "
@@ -173,7 +157,6 @@ def assemble(
         main_dim=dims["main_dim"],
         row_dim=dims["row_dim"],
         n_row_blocks=len(cs.rows),
-        row_labels=tuple(row.label for row in cs.rows),
         L=sp.vstack([L for L, _ in parts], format="csr"),
         C=np.concatenate([C for _, C in parts]),
         objective=objective,

@@ -116,17 +116,6 @@ class MomentVector:
     def has(self, index_set: Iterable[int]) -> bool:
         return mask_of(index_set) in self.entries
 
-    def down_closed(self) -> bool:
-        keys = self.entries
-        for key in keys:
-            rest = key
-            while rest:
-                low = rest & -rest
-                if key ^ low not in keys:
-                    return False
-                rest ^= low
-        return True
-
     def complete_size(self) -> int:
         """Largest d such that every subset of size <= d is stored (-1 if none)."""
         counts = Counter(key.bit_count() for key in self.entries)
@@ -188,8 +177,6 @@ def shift(coeffs: Mapping[int, Value], rhs: Value, y: MomentVector) -> MomentVec
 def _domain_minus(y: MomentVector, s_mask: int) -> list[int]:
     """Sets I whose every union with a subset of S stays in the domain."""
     me = y.entries
-    if y.down_closed():
-        return [k for k in me if k | s_mask in me]
     unions = [h for h, _ in _signed_subsets(set_of(s_mask))]
     return [k for k in me if all(k | h in me for h in unions)]
 

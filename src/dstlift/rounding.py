@@ -25,11 +25,10 @@ from typing import Collection, Iterable, Protocol
 
 import numpy as np
 
-from .exact import enumerate_paths
+from .exact import root_paths
 from .instance import (
     EdgeId,
     LayeredInstance,
-    PathRecord,
     reachable,
     shortest_path,
     verify_solution,
@@ -310,16 +309,17 @@ def collect_stats(
         )
 
     # Every sampled full path ends at a terminal, so each terminal's
-    # enumerated root paths list every path that was hit.
+    # root paths list every path that was hit.
+    paths = root_paths(layered)
     path_rows = []
     for s in graph.terminals:
-        for record in enumerate_paths(layered, s):
-            hits = path_hits[record.edges]
+        for path in paths[s]:
+            hits = path_hits[path]
             path_rows.append(
                 PathStats(
                     terminal=s,
-                    path=record.edges,
-                    oracle_value=oracle.query(record.edges),
+                    path=path,
+                    oracle_value=oracle.query(path),
                     hits=hits,
                     frequency=hits / trials,
                     se=_se(hits / trials, trials),
@@ -387,15 +387,18 @@ def edge_marginal_check(
     Per edge, the total moment of paths ending with it must not exceed the
     edge moment; per terminal, full-path moments must sum to one; per proper
     path prefix, the moments of its full-path extensions must not exceed the
-    prefix moment.  For exact oracles `tol` should stay zero.
+    prefix moment.  For exact oracles `tol` should stay zero.  Each root
+    path is queried once, by the row of its last edge; the terminal and
+    prefix rows reuse those values.
     """
     graph = layered.graph
+    paths = root_paths(layered)
+    weight: dict[tuple[EdgeId, ...], Value] = {}
     edge_rows = []
     for e, _ in graph.edges:
-        total = sum(
-            (oracle.query(r.edges) for r in enumerate_paths(layered, e)),
-            Fraction(0),
-        )
+        ends = [p + (e,) for p in paths[e[0]]]
+        weight.update((q, oracle.query(q)) for q in ends)
+        total = sum((weight[q] for q in ends), Fraction(0))
         bound = oracle.query((e,))
         edge_rows.append(
             MarginalRow(
@@ -409,9 +412,7 @@ def edge_marginal_check(
     terminal_rows = []
     prefix_rows = []
     for s in graph.terminals:
-        records = [p.edges for p in enumerate_paths(layered, s)]
-        weights = {p: oracle.query(p) for p in records}
-        total = sum(weights.values())
+        total = sum(weight[p] for p in paths[s])
         deviation = abs(total - 1)
         terminal_rows.append(
             MarginalRow(
@@ -421,18 +422,19 @@ def edge_marginal_check(
                 ok=deviation <= tol,
             )
         )
-        prefixes = sorted(
-            {p[:k] for p in records for k in range(1, len(p))}
-        )
-        for prefix in prefixes:
-            partial = sum(w for p, w in weights.items() if p[: len(prefix)] == prefix)
-            bound = oracle.query(prefix)
+        # one pass in path order, each sum starting from 0 as `sum` does
+        partial: dict[tuple[EdgeId, ...], Value] = {}
+        for p in paths[s]:
+            for k in range(1, len(p)):
+                partial[p[:k]] = partial.get(p[:k], 0) + weight[p]
+        for prefix, value in sorted(partial.items()):
+            bound = weight[prefix]
             prefix_rows.append(
                 MarginalRow(
                     label=f"prefix[{s}][{prefix!r}]",
-                    value=partial,
+                    value=value,
                     bound=bound,
-                    ok=not _greater(partial, bound, tol),
+                    ok=not _greater(value, bound, tol),
                 )
             )
     ok = all(r.ok for r in edge_rows + terminal_rows + prefix_rows)

@@ -11,6 +11,7 @@ import pytest
 
 from dstlift import as_layered, build_flow_lp, make_instance, parse_instance, solve_lp
 from dstlift.flow_lp import ConstraintSystem, Row
+from dstlift.moments import MomentVector, export_moments, from_distribution, mask_of
 
 REFERENCE_TEXT = """\
 # three-hop reference instance, optimum 19
@@ -114,6 +115,41 @@ def tiny_layered3():
         "r",
         ["s1", "s2"],
     )
+
+
+def _edges(path):
+    nodes = path.split()
+    return list(zip(nodes, nodes[1:]))
+
+
+def layered3_moments_text(exact=True):
+    """Level-1 moments of a mix of three trees on `tiny_layered3`.
+
+    The float copy raises two path moments above their prefixes' moments, so
+    the ratio of r->a->d over r->a (second step) and of r->b->d->s1 over
+    r->b->d (third step) clamp to one.
+    """
+    _, vmap = build_flow_lp(as_layered(tiny_layered3()))
+    trees = [
+        (Fraction(1, 2), ("r a c s1", "r b d s2")),
+        (Fraction(1, 3), ("r a d s1", "r a d s2")),
+        (Fraction(1, 6), ("r b d s1", "r b d s2")),
+    ]
+    dist = []
+    for mass, paths in trees:
+        point = [0] * vmap.n_vars
+        for s, path in zip(("s1", "s2"), paths):
+            for edge in _edges(path):
+                point[vmap.edge_ordinal(edge)] = 1
+                point[vmap.flow_ordinal(s, edge)] = 1
+        dist.append((mass, tuple(point)))
+    y = from_distribution(dist, 1)
+    if not exact:
+        entries = {k: float(v) for k, v in y.entries.items()}
+        for path, value in (("r a d", 0.9), ("r b d s1", 0.7)):
+            entries[mask_of(vmap.edge_ordinal(e) for e in _edges(path))] = value
+        y = MomentVector(y.n_vars, y.level, entries, exact=False)
+    return export_moments(y)
 
 
 def tiny_chain():

@@ -17,9 +17,15 @@ import dstlift
 from dstlift.cli import main
 from dstlift.flow_lp import build_flow_lp, format_lp_dump, parse_lp_dump
 from dstlift.instance import as_layered, format_instance, parse_instance
-from dstlift.moments import MomentVector, export_moments, from_distribution, mask_of
+from dstlift.moments import export_moments, from_distribution
 
-from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond, tiny_layered3
+from conftest import (
+    REFERENCE_TEXT,
+    layered3_moments_text,
+    tiny_chain,
+    tiny_diamond,
+    tiny_layered3,
+)
 
 
 def run_cli(argv, capsys):
@@ -125,6 +131,14 @@ def test_lift_dim(diamond_file, capsys):
     )
     assert code == 0
     assert json.loads(out)["within_budget"] is False
+
+
+def test_lift_dim_ignores_budget_environment(diamond_file, capsys, monkeypatch):
+    """The budget comes from `--budget` or the default, never the environment."""
+    argv = ["lift-dim", diamond_file, "--t", "1"]
+    _, before, _ = run_cli(argv, capsys)
+    monkeypatch.setenv("DSTLIFT_MOMENT_BUDGET", "3")
+    assert run_cli(argv, capsys) == (0, before, "")
 
 
 def test_lift_solve_and_replay(chain_file, tmp_path, capsys):
@@ -310,41 +324,6 @@ def test_stats(diamond_file, diamond_moments, tmp_path, capsys):
     lines = plot.read_text().splitlines()
     assert lines[0].startswith("# terminal")
     assert lines[1].startswith("s ")
-
-
-def _edges(path):
-    nodes = path.split()
-    return list(zip(nodes, nodes[1:]))
-
-
-def layered3_moments_text(exact=True):
-    """Level-1 moments of a mix of three trees on `tiny_layered3`.
-
-    The float copy raises two path moments above their prefixes' moments, so
-    the ratio of r->a->d over r->a (second step) and of r->b->d->s1 over
-    r->b->d (third step) clamp to one.
-    """
-    _, vmap = build_flow_lp(as_layered(tiny_layered3()))
-    trees = [
-        (Fraction(1, 2), ("r a c s1", "r b d s2")),
-        (Fraction(1, 3), ("r a d s1", "r a d s2")),
-        (Fraction(1, 6), ("r b d s1", "r b d s2")),
-    ]
-    dist = []
-    for mass, paths in trees:
-        point = [0] * vmap.n_vars
-        for s, path in zip(("s1", "s2"), paths):
-            for edge in _edges(path):
-                point[vmap.edge_ordinal(edge)] = 1
-                point[vmap.flow_ordinal(s, edge)] = 1
-        dist.append((mass, tuple(point)))
-    y = from_distribution(dist, 1)
-    if not exact:
-        entries = {k: float(v) for k, v in y.entries.items()}
-        for path, value in (("r a d", 0.9), ("r b d s1", 0.7)):
-            entries[mask_of(vmap.edge_ordinal(e) for e in _edges(path))] = value
-        y = MomentVector(y.n_vars, y.level, entries, exact=False)
-    return export_moments(y)
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])

@@ -11,6 +11,7 @@ from dstlift import (
     enumerate_paths,
     exact,
     exact_opt,
+    levelize,
     make_instance,
     verify_solution,
 )
@@ -74,7 +75,7 @@ def test_terminal_cap():
 
 
 def _paths_brute(layered, target):
-    """Backward recursion on levels, independent of the forward DFS."""
+    """Backward recursion from the target, independent of the level sweep."""
     graph = layered.graph
 
     def back(v):
@@ -107,11 +108,20 @@ def test_reference_terminal_path_counts(reference_layered):
     assert counts == {"s1": 3, "s2": 3, "s3": 3, "s4": 3}
 
 
-def test_enumerate_paths_edge_target(reference_layered):
+def test_root_paths_match_backward_oracle(reference_instance, reference_layered):
+    for layered in (reference_layered, levelize(reference_instance, 2)):
+        paths = exact.root_paths(layered)
+        assert set(paths) == set(layered.graph.nodes)
+        for v, found in paths.items():
+            assert found == _paths_brute(layered, v)
+
+
+def test_root_paths_ending_with_an_edge(reference_layered):
+    paths = exact.root_paths(reference_layered)
     edge = ("v2", "s1")
-    paths = enumerate_paths(reference_layered, edge)
-    assert all(p.edges[-1] == edge for p in paths)
-    assert len(paths) == 2  # via u1 and via u2
+    ending = [p for p in paths["s1"] if p[-1] == edge]
+    assert ending == [p + (edge,) for p in paths["v2"]]
+    assert len(ending) == 2  # via u1 and via u2
 
 
 def test_enumerate_paths_cap(reference_layered, monkeypatch):

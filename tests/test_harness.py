@@ -80,7 +80,7 @@ def test_gen_random_layered_deterministic_and_layered():
     assert a == b
     layered = as_layered(a)
     assert layered.ell == 3
-    sizes = [len([v for v, lv in layered.level_of.items() if lv == j]) for j in range(4)]
+    sizes = [len(layer) for layer in layered.levels]
     assert sizes == [1, 2, 3, 2]
     assert len(a.terminals) == 2
     with pytest.raises(GenerationError):

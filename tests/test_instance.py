@@ -141,7 +141,7 @@ def test_single_hop_levelize_collapses_to_closure_edge():
 
 def test_levelize_structure(reference_instance):
     layered = levelize(reference_instance, 2)
-    level_of = layered.level_of
+    level_of = {v: j for j, layer in enumerate(layered.levels) for v in layer}
     assert set(layered.levels[0]) == {"r@0"}
     for (tail, head), _ in layered.graph.edges:
         assert level_of[head] == level_of[tail] + 1

@@ -5,22 +5,23 @@ moment vector of an explicit distribution, the assembled sparse blocks must
 reproduce the moment matrix and the shifted matrices computed symbolically.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dstlift.cli import main
 from dstlift.exact import exact_opt
 from dstlift.flow_lp import ConstraintSystem, Row, build_flow_lp, solve_lp
-from dstlift.instance import as_layered
+from dstlift.instance import as_layered, format_instance
 from dstlift.lasserre import (
     BudgetError,
     SolverConfig,
     _project_psd_batch,
     assemble,
     lift_dimensions,
-    resolve_budget,
     solve,
     solve_from_file,
 )
@@ -68,20 +69,11 @@ def test_budget_checked_before_enumeration():
     assert err.value.n_free == sum(math.comb(600, s) for s in range(9)) - 1
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("DSTLIFT_MOMENT_BUDGET", "3")
-    assert resolve_budget() == 3
-    assert resolve_budget(100) == 100  # explicit argument wins
-    with pytest.raises(BudgetError):
-        assemble(_empty_system(5), 0)  # main_dim 6 > 3
-    monkeypatch.setenv("DSTLIFT_MOMENT_BUDGET", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_budget()
-
-
-def test_budget_default(monkeypatch):
-    monkeypatch.delenv("DSTLIFT_MOMENT_BUDGET", raising=False)
-    assert resolve_budget() == 2000
+def test_budget_default(tmp_path, capsys):
+    path = tmp_path / "diamond.dst"
+    path.write_text(format_instance(tiny_diamond()))
+    assert main(["lift-dim", str(path), "--t", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["budget"] == 2000
 
 
 def _float_grid(grid):
@@ -131,7 +123,6 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
     cs = make_system()
     rows = cs.rows
     prob = assemble(cs, level)
-    assert prob.row_labels == tuple(row.label for row in rows)
     # columns are the nonempty subsets in `masks_upto` order
     n = cs.n_vars
     assert prob.free_sets == tuple(masks_upto(n, min(2 * level + 2, n)))[1:]

@@ -6,14 +6,16 @@ form: the cheap route is kept with probability 3/4, the expensive one with
 1/4, and both extensions are deterministic.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dstlift.flow_lp import build_flow_lp
 from dstlift.instance import as_layered, verify_solution
-from dstlift.moments import MissingMomentError, from_distribution
+from dstlift.moments import MissingMomentError, from_distribution, import_moments
 from dstlift.rounding import (
     VectorOracle,
     collect_stats,
@@ -24,7 +26,9 @@ from dstlift.rounding import (
     trial_rng,
 )
 
-from conftest import tiny_chain, tiny_diamond, tiny_layered3
+from conftest import layered3_moments_text, tiny_chain, tiny_diamond, tiny_layered3
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RA, RB = ("r", "a"), ("r", "b")
 AS, BS = ("a", "s"), ("b", "s")
@@ -395,3 +399,28 @@ def test_edge_marginal_check_flags_terminal_mass():
     assert not report.ok
     assert [r.ok for r in report.terminal_rows] == [False]
     assert report.terminal_rows[0].value == Fraction(3, 4)
+
+
+def _row_record(row):
+    return [
+        row.label,
+        type(row.value).__name__,
+        str(row.value),
+        type(row.bound).__name__,
+        str(row.bound),
+        row.ok,
+    ]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_marginal_rows_are_pinned(kind):
+    """Every row of the marginal check on `tiny_layered3`, with the value and
+    bound types: the float mix pins the float sums bit for bit."""
+    layered = as_layered(tiny_layered3())
+    _, vmap = build_flow_lp(layered)
+    vector = import_moments(layered3_moments_text(exact=kind == "exact"))
+    report = edge_marginal_check(VectorOracle(vector, vmap), layered, tol=0.0)
+    rows = report.edge_rows + report.terminal_rows + report.prefix_rows
+    lines = [json.dumps(report.ok)] + [json.dumps(_row_record(row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    assert text == (GOLDEN / f"marginals_layered3_{kind}.json").read_text()
