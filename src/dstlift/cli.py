@@ -54,7 +54,7 @@ def _cmd_solve_lp(args) -> int:
     if solution.status == "optimal":
         payload["objective"] = solution.objective
         payload["nonzero"] = {
-            vmap.by_ordinal(i).tag: value
+            vmap.columns[i].tag: value
             for i, value in enumerate(solution.values)
             if value != 0
         }

@@ -7,12 +7,11 @@ total fractional indegree at most one; all variables live in [0, 1].
 
 Constraint systems are rows `a . x >= b` over Fraction coefficients, each
 row holding only its nonzero coefficients.  Dense vectors appear only in the
-`.lp` dump, which writes every coefficient, and in the simplex tableau.
-`solve_lp` is a two-phase tableau simplex with Bland's rule, running entirely
-in rational arithmetic, so optima are exact.  Each pivot updates the other
-rows only at the pivot row's nonzeros (the flow-LP tableau stays sparse); the
-skipped entries would be unchanged, so the pivots are those of the dense
-update.
+`.lp` dump, which writes every coefficient.  `solve_lp` is a two-phase tableau
+simplex with Bland's rule, running entirely in rational arithmetic, so optima
+are exact.  Tableau rows are sparse too: dicts of their nonzero entries with
+the rhs as one more key.  The cost rows of both phases are rows of the same
+kind, and one pivot updates them with the others.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class VariableMap:
     """
 
     def __init__(self, graph: DstInstance):
-        self.graph = graph
         self.edge_list: tuple[EdgeId, ...] = tuple(e for e, _ in graph.edges)
         self._edge_pos = {e: i for i, e in enumerate(self.edge_list)}
         self.columns: list[VarIndex] = [
@@ -88,9 +86,6 @@ class VariableMap:
             return self._flow_pos[(terminal, edge)]
         except KeyError:
             raise KeyError(f"unknown flow variable {terminal!r}/{edge!r}") from None
-
-    def by_ordinal(self, i: int) -> VarIndex:
-        return self.columns[i]
 
 
 @dataclass(frozen=True)
@@ -217,101 +212,74 @@ def solve_lp(cs: ConstraintSystem) -> LpSolution:
     Trivially redundant rows (nonnegative single-variable bounds with
     nonpositive rhs) are dropped before the tableau is built.
     """
-    status, values = _simplex(cs)
-    if status != "optimal":
-        return LpSolution(status, None, None)
-    obj = sum((c * v for c, v in zip(cs.objective, values)), Fraction(0))
-    return LpSolution("optimal", tuple(values), obj)
-
-
-def _simplex(cs: ConstraintSystem):
     n = cs.n_vars
     zero = Fraction(0)
-    one = Fraction(1)
+    rhs = -1  # the key of the right-hand side in every tableau row
 
-    work: list[tuple[dict[int, Fraction], Fraction]] = []
+    work = []
     for r in cs.rows:
         if not r.coeffs:
             if r.rhs > 0:
-                return "infeasible", None
+                return LpSolution("infeasible", None, None)
             continue
         if len(r.coeffs) == 1 and next(iter(r.coeffs.values())) > 0 and r.rhs <= 0:
             continue  # implied by x >= 0
-        work.append((r.coeffs, r.rhs))
+        work.append(r)
 
+    # Row i reads a.x - s_i + art_i = b with art_i basic when b > 0, else
+    # -a.x + s_i = -b with s_i basic.  Slack s_i is column n + i; the
+    # artificial art_i is basis label n + m + i, and its column is not stored
+    # because it never enters and no rule reads it.  The phase-1 cost row
+    # starts as minus the sum of the artificial rows, the phase-2 row as c.
     m = len(work)
-    art_rows = [i for i, (_, b) in enumerate(work) if b > 0]
-    n_art = len(art_rows)
-    width = n + m + n_art + 1
-    tab: list[list[Fraction]] = []
+    tab: list[dict[int, Fraction]] = []
     basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_col[i] = n + m + k
-    for i, (coeffs, b) in enumerate(work):
-        line = [zero] * width
-        if b > 0:
-            for j, a in coeffs.items():
-                line[j] = Fraction(a)
-            line[n + i] = -one
-            line[art_col[i]] = one
-            line[-1] = Fraction(b)
-            basis.append(art_col[i])
-        else:
-            for j, a in coeffs.items():
-                line[j] = Fraction(-a)
-            line[n + i] = one
-            line[-1] = Fraction(-b)
-            basis.append(n + i)
+    phase1: dict[int, Fraction] = {}
+    for i, r in enumerate(work):
+        sign = 1 if r.rhs > 0 else -1
+        line = {j: Fraction(sign * a) for j, a in r.coeffs.items()}
+        line[n + i] = Fraction(-sign)
+        if r.rhs:
+            line[rhs] = Fraction(sign * r.rhs)
         tab.append(line)
-
-    def reduced_costs(cost):
-        z = list(cost) + [zero] * (width - len(cost))
-        for i, b in enumerate(basis):
-            cb = cost[b] if b < len(cost) else zero
-            if cb != 0:
-                line = tab[i]
-                for j in range(width):
-                    if line[j]:
-                        z[j] -= cb * line[j]
-        return z
+        basis.append(n + m + i if sign > 0 else n + i)
+        if sign > 0:
+            for k, v in line.items():
+                phase1[k] = phase1.get(k, zero) - v
+    phase1 = {k: v for k, v in phase1.items() if v}
+    phase2 = {j: Fraction(c) for j, c in enumerate(cs.objective) if c}
+    costs = [phase2, phase1]
 
     def pivot(r, j):
-        # Only the pivot row's nonzeros can change another row: every other
-        # entry k already equals other[k] - f * 0, so the update skips it.
         line = tab[r]
         piv = line[j]
         if piv != 1:
-            inv = one / piv
-            for k, v in enumerate(line):
-                if v:
-                    line[k] = v * inv
-        nonzeros = [(k, v) for k, v in enumerate(line) if v]
-        for i in range(m):
-            if i == r:
+            inv = 1 / piv
+            for k in line:
+                line[k] *= inv
+        for other in (*tab, *costs):
+            f = other.get(j)
+            if f is None or other is line:
                 continue
-            other = tab[i]
-            f = other[j]
-            if f:
-                for k, v in nonzeros:
-                    other[k] -= f * v
+            for k, v in line.items():
+                new = other.get(k, zero) - f * v
+                if new:
+                    other[k] = new
+                else:
+                    del other[k]
         basis[r] = j
 
-    def optimize(z, allowed):
+    def optimize(z):
         while True:
-            enter = -1
-            for j in range(allowed):
-                if z[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            enter = min((j for j, v in z.items() if v < 0 and j != rhs), default=None)
+            if enter is None:
                 return "optimal"
             leave = -1
             best = None
-            for i in range(m):
-                a = tab[i][enter]
+            for i, line in enumerate(tab):
+                a = line.get(enter, zero)
                 if a > 0:
-                    ratio = tab[i][-1] / a
+                    ratio = line.get(rhs, zero) / a
                     if (
                         best is None
                         or ratio < best
@@ -321,49 +289,28 @@ def _simplex(cs: ConstraintSystem):
                         leave = i
             if leave < 0:
                 return "unbounded"
-            rline = tab[leave]
-            piv = rline[enter]
-            f = z[enter]
-            if f:
-                inv = f / piv
-                for k in range(width):
-                    if rline[k]:
-                        z[k] -= inv * rline[k]
             pivot(leave, enter)
 
-    if n_art:
-        cost1 = [zero] * (n + m) + [one] * n_art
-        z = reduced_costs(cost1)
-        res = optimize(z, n + m)
-        assert res == "optimal"  # phase 1 is bounded below by zero
-        phase1 = sum(
-            (tab[i][-1] for i in range(m) if basis[i] >= n + m), zero
-        )
-        if phase1 != 0:
-            return "infeasible", None
-        drop = []
-        for i in range(m):
-            if basis[i] >= n + m:
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        pivot(i, j)
-                        break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab[i], basis[i]
-        m = len(tab)
+    res = optimize(phase1)
+    assert res == "optimal"  # phase 1 is bounded below by zero
+    if phase1.get(rhs, zero) != 0:  # its rhs is minus the artificials' sum
+        return LpSolution("infeasible", None, None)
+    costs.pop()  # phase 1 is over: its row needs no more updates
+    # Drive each artificial left in the basis (at zero) out.  Row i is row i
+    # of B^-1 [A | S | Art | b], and B^-1 S has no zero row since the slack
+    # block S is nonsingular, so each row has a nonzero below column n + m.
+    for i in range(m):
+        if basis[i] >= n + m:
+            pivot(i, min(k for k in tab[i] if k != rhs))
 
-    cost2 = list(cs.objective) + [zero] * (width - n)
-    z = reduced_costs(cost2)
-    res = optimize(z, n + m)
+    res = optimize(phase2)
     if res != "optimal":
-        return res, None
+        return LpSolution(res, None, None)
     x = [zero] * n
-    for i, b in enumerate(basis):
+    for line, b in zip(tab, basis):
         if b < n:
-            x[b] = tab[i][-1]
-    return "optimal", x
+            x[b] = line.get(rhs, zero)
+    return LpSolution("optimal", tuple(x), -phase2.get(rhs, zero))
 
 
 def format_lp_dump(cs: ConstraintSystem) -> str:

@@ -185,38 +185,9 @@ class SdpSolution:
 
 
 def _factor_gram(G: sp.csc_matrix):
-    """Linear solver for the SPD Gram matrix of the block maps.
-
-    A subset that shows up in exactly one slot has a lone diagonal entry, and
-    on big lifts that is the vast majority, so a direct factorization wastes
-    almost all its effort.  Splitting those columns off and factoring only the
-    coupled submatrix gives the same exact solve at a fraction of the setup.
-    """
-    n = G.shape[0]
-    diag = G.diagonal()
-    off = G - sp.diags(diag)
-    off.eliminate_zeros()
-    col_nnz = np.diff(off.tocsc().indptr)
-    coupled = np.flatnonzero(col_nnz > 0)
+    """Linear solver for the SPD Gram matrix of the block maps."""
     # G is SPD, so symmetric-mode ordering beats the default by a wide margin
-    factor = lambda mat: splu(
-        mat, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-    )
-    if coupled.size == 0:
-        return lambda rhs: rhs / diag
-    if coupled.size == n:
-        return factor(G).solve
-    alone = np.setdiff1d(np.arange(n), coupled, assume_unique=True)
-    sub = G.tocsr()[coupled].tocsc()[:, coupled].tocsc()
-    lu = factor(sub)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        out[alone] = rhs[alone] / diag[alone]
-        out[coupled] = lu.solve(rhs[coupled])
-        return out
-
-    return solve
+    return splu(G, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
 
 
 def _project_psd_batch(stack: np.ndarray) -> np.ndarray:

@@ -701,7 +701,8 @@ def import_moments(text: str) -> MomentVector:
     """Parse a moment file; the vector must be complete to the declared level.
 
     Values are read exactly when every token is an integer or ratio, as
-    floats when any token uses decimal or exponent notation.
+    floats when any token uses decimal or exponent notation; every value must
+    be finite and both header counts nonnegative.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -712,6 +713,8 @@ def import_moments(text: str) -> MomentVector:
         n, level = int(n_s), int(t_s)
     except ValueError as exc:
         raise MomentFormatError("bad header") from exc
+    if n < 0 or level < 0:
+        raise MomentFormatError(f"negative count in header {lines[0]!r}")
     raw: dict[IndexSet, str] = {}
     for ln in lines[1:]:
         if ":" not in ln:
@@ -734,9 +737,12 @@ def import_moments(text: str) -> MomentVector:
     entries: dict[int, Value] = {}
     for key, tok in raw.items():
         try:
-            entries[mask_of(key)] = float(tok) if floaty else parse_rational(tok)
+            value = float(tok) if floaty else parse_rational(tok)
         except (ValueError, ZeroDivisionError) as exc:
             raise MomentFormatError(f"bad value {tok!r}") from exc
+        if floaty and not math.isfinite(value):  # a Fraction always is
+            raise MomentFormatError(f"value {tok!r} is not finite")
+        entries[mask_of(key)] = value
     y = MomentVector(n, level, entries, exact=not floaty)
     if y.complete_size() < min(2 * level + 2, n):
         raise MomentFormatError(

@@ -591,6 +591,26 @@ def test_moment_file_errors():
             import_moments(f"moments 1 0\n: 1\n0 : {value}\n")
 
 
+def test_moment_file_rejects_non_finite_values_and_negative_counts():
+    from dstlift.moments import MomentFormatError
+
+    # complete to size 2 for level 0, so a bad entry of size 3 is never read
+    # by certify: it must be refused on import
+    stored = "".join(
+        f"{' '.join(map(str, key))} : 0.5\n"
+        for size in (1, 2)
+        for key in itertools.combinations(range(3), size)
+    )
+    with pytest.raises(MomentFormatError, match="not finite"):
+        import_moments(f"moments 3 0\n: 1.0\n{stored}0 1 2 : nan\n")
+    for value in ("nan", "inf", "-inf", "1e400"):  # in the main block
+        with pytest.raises(MomentFormatError):
+            import_moments(f"moments 2 0\n: 1.0\n0 : {value}\n1 : 0.5\n0 1 : 0.25\n")
+    for header in ("moments -1 0", "moments 2 -1"):
+        with pytest.raises(MomentFormatError, match="negative count"):
+            import_moments(f"{header}\n: 1\n")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=2, max_value=4),
