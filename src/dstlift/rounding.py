@@ -10,9 +10,16 @@ Repetition plus cheapest-path repair for missed terminals yields a feasible
 tree; `stats` measures the per-path hit rates, per-terminal path counts, and
 cost against what the moments promise.
 
+Every trial of one call walks the same tree of root paths, which grows as
+trials reach new nodes: the first trial to keep a path reads its extensions'
+moments and computes their probabilities and clamp and dead flags, and later
+trials only draw against them.  So each path is read from the oracle at most
+once a call, and a path below a branch that no trial keeps is never read.
+
 Randomness comes from a counter-based generator keyed by (seed, trial), so
 every trial is reproducible in isolation and the draw order is fixed by the
-documented traversal order.
+documented traversal order.  One call re-keys a single generator per trial
+instead of building one; its draws equal those of `trial_rng(seed, trial)`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Protocol
+from typing import Callable, Collection, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -37,6 +44,9 @@ from .flow_lp import VariableMap
 from .moments import MissingMomentError, MomentVector, Value, set_of
 
 DEAD_PATH_TOL = 1.0e-12
+# Uniforms per block in the rounding loops; a trial on the 12-node reference
+# instance reads about 15.
+_DRAW_BLOCK = 64
 
 
 class MomentOracle(Protocol):
@@ -69,9 +79,38 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
+def _trial_draws(seed: int, trials: int) -> Iterator[Callable[[], float]]:
+    """`trial_rng(seed, t).random` for t = 0, 1, ..., from one re-keyed generator.
+
+    Each trial starts from a fresh state: key (seed, t), counter zero and an
+    empty buffer.  The seed's key word is taken from the generator, which
+    wraps a negative seed where a uint64 array would reject it.  Uniforms
+    are drawn in blocks; reading ahead of a trial's last draw is harmless,
+    since the next trial resets the state.
+    """
+    bits = np.random.Philox(key=[seed, 0])
+    block = np.random.Generator(bits).random
+    fresh = bits.state
+    key = fresh["state"]["key"]
+
+    def draws() -> Iterator[float]:
+        while True:
+            yield from block(_DRAW_BLOCK).tolist()
+
+    for trial in range(trials):
+        key[1] = trial
+        bits.state = fresh
+        yield draws().__next__
+
+
 @dataclass
 class SampleRun:
-    """One sampling pass: the kept paths and bookkeeping counters."""
+    """One sampling pass: the kept paths and bookkeeping counters.
+
+    `queries` counts the candidates the pass examined, whether the oracle or
+    the sampling tree (an earlier trial of the same call) supplied their
+    moments.
+    """
 
     paths: tuple[tuple[EdgeId, ...], ...]
     edges: frozenset[EdgeId]
@@ -98,40 +137,98 @@ def sample_once(
     for approximate oracles) are clamped and counted; paths whose moment
     falls below an absolute floor are not extended and counted as dead.
     """
-    graph = layered.graph
-    queries = 0
-    clamps = 0
-    dead = 0
-    kept: list[tuple[EdgeId, ...]] = []
-    frontier: list[tuple[tuple[EdgeId, ...], str, Value]] = [((), graph.root, 1)]
-    for _ in range(layered.ell):
-        grown = []
-        for path, end, weight in frontier:
-            if path and float(weight) <= DEAD_PATH_TOL:
-                dead += 1
-                continue
-            for edge in graph.out_edges[end]:
-                queries += 1
-                ext = path + (edge,)
-                extended = oracle.query(ext)
-                prob = float(extended / weight if path else extended)
-                if prob < 0.0 or prob > 1.0:
-                    clamps += 1
-                    prob = min(1.0, max(0.0, prob))
-                if rng.random() < prob:
-                    grown.append((ext, edge[1], extended))
-        kept.extend(path for path, _, _ in grown)
-        frontier = grown
+    return _PathTree(oracle, layered).sample(rng.random)
 
-    return SampleRun(
-        paths=tuple(kept),
-        # prefix-closed: every edge of a kept path ends a kept path
-        edges=frozenset(path[-1] for path in kept),
-        full_paths=tuple(path for path, _, _ in frontier),
-        queries=queries,
-        clamps=clamps,
-        dead=dead,
-    )
+
+class _Node:
+    """A root path in the sampling tree, with its extensions once read.
+
+    `children` holds (probability, node) per outgoing edge of `end`, in
+    `out_edges` order, and `clamps` how many of those probabilities were
+    clamped; `children` stays None until a trial extends the path.
+    """
+
+    __slots__ = ("path", "end", "weight", "dead", "children", "clamps")
+
+    def __init__(self, path: tuple[EdgeId, ...], end: str, weight: Value):
+        self.path = path
+        self.end = end
+        self.weight = weight
+        self.dead = bool(path) and float(weight) <= DEAD_PATH_TOL
+        self.children: list[tuple[float, _Node]] | None = None
+        self.clamps = 0
+
+
+class _PathTree:
+    """The root paths that trials reach, grown on demand, and their moments.
+
+    Every path is read from the oracle at most once: `moment` keeps what it
+    read, and a node's extensions are read and turned into probabilities the
+    first time a trial keeps it, in the order `sample_once` documents.
+    """
+
+    def __init__(self, oracle: MomentOracle, layered: LayeredInstance):
+        self.oracle = oracle
+        self.layered = layered
+        self.root = _Node((), layered.graph.root, 1)
+        self._moments: dict[tuple[EdgeId, ...], Value] = {}
+
+    def moment(self, path: tuple[EdgeId, ...]) -> Value:
+        try:
+            return self._moments[path]
+        except KeyError:
+            value = self._moments[path] = self.oracle.query(path)
+            return value
+
+    def _extend(self, node: _Node) -> list[tuple[float, _Node]]:
+        path, weight = node.path, node.weight
+        children = []
+        clamps = 0
+        for edge in self.layered.graph.out_edges[node.end]:
+            ext = path + (edge,)
+            extended = self.moment(ext)
+            prob = float(extended / weight if path else extended)
+            if prob < 0.0 or prob > 1.0:
+                clamps += 1
+                prob = min(1.0, max(0.0, prob))
+            children.append((prob, _Node(ext, edge[1], extended)))
+        node.children = children
+        node.clamps = clamps
+        return children
+
+    def sample(self, random: Callable[[], float]) -> SampleRun:
+        """One trial of `sample_once`, with `random` giving the uniforms."""
+        queries = 0
+        clamps = 0
+        dead = 0
+        kept: list[_Node] = []
+        frontier = [self.root]
+        for _ in range(self.layered.ell):
+            grown = []
+            for node in frontier:
+                if node.dead:
+                    dead += 1
+                    continue
+                children = node.children
+                if children is None:
+                    children = self._extend(node)
+                queries += len(children)
+                clamps += node.clamps
+                for prob, child in children:
+                    if random() < prob:
+                        grown.append(child)
+            kept += grown
+            frontier = grown
+
+        return SampleRun(
+            paths=tuple(node.path for node in kept),
+            # prefix-closed: every edge of a kept path ends a kept path
+            edges=frozenset(node.path[-1] for node in kept),
+            full_paths=tuple(node.path for node in frontier),
+            queries=queries,
+            clamps=clamps,
+            dead=dead,
+        )
 
 
 def default_reps(layered: LayeredInstance) -> int:
@@ -168,11 +265,12 @@ def round_solution(
     reps = default_reps(layered) if reps is None else reps
     if reps < 1:
         raise ValueError("need at least one repetition")
+    tree = _PathTree(oracle, layered)
     union: set[EdgeId] = set()
     queries = 0
     clamps = 0
-    for trial in range(reps):
-        run = sample_once(oracle, layered, trial_rng(seed, trial))
+    for draw in _trial_draws(seed, reps):
+        run = tree.sample(draw)
         union.update(run.edges)
         queries += run.queries
         clamps += run.clamps
@@ -274,8 +372,9 @@ def collect_stats(
     queries = 0
     clamps = 0
     dead = 0
-    for trial in range(trials):
-        run = sample_once(oracle, layered, trial_rng(seed, trial))
+    tree = _PathTree(oracle, layered)
+    for draw in _trial_draws(seed, trials):
+        run = tree.sample(draw)
         queries += run.queries
         clamps += run.clamps
         dead += run.dead
@@ -319,7 +418,7 @@ def collect_stats(
                 PathStats(
                     terminal=s,
                     path=path,
-                    oracle_value=oracle.query(path),
+                    oracle_value=tree.moment(path),
                     hits=hits,
                     frequency=hits / trials,
                     se=_se(hits / trials, trials),
@@ -331,7 +430,7 @@ def collect_stats(
     for e, cost in graph.edges:
         hits = edge_hits[e]
         freq = hits / trials
-        value = oracle.query((e,))
+        value = tree.moment((e,))
         frac_cost += float(cost) * float(value)
         edge_rows.append(
             EdgeStats(

@@ -8,6 +8,7 @@ form: the cheap route is kept with probability 3/4, the expensive one with
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,13 @@ import pytest
 
 from dstlift.flow_lp import build_flow_lp
 from dstlift.instance import as_layered, verify_solution
-from dstlift.moments import MissingMomentError, from_distribution, import_moments
+from dstlift.moments import (
+    MissingMomentError,
+    MomentVector,
+    from_distribution,
+    import_moments,
+    mask_of,
+)
 from dstlift.rounding import (
     VectorOracle,
     collect_stats,
@@ -333,6 +340,118 @@ def test_collect_stats_deterministic():
     a = collect_stats(oracle, layered, 200, seed=9)
     b = collect_stats(oracle, layered, 200, seed=9)
     assert a == b
+
+
+class CountingOracle:
+    """Wraps an oracle and counts each queried path, as a tuple of edges."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = Counter()
+
+    def query(self, edges):
+        edges = tuple(edges)
+        self.seen[edges] += 1
+        return self.inner.query(edges)
+
+
+def layered3_vector(kind, edits=None):
+    """`tiny_layered3` with the conftest moments; `edits` maps paths, given
+    as node strings, to new moments (None drops the entry)."""
+    layered = as_layered(tiny_layered3())
+    _, vmap = build_flow_lp(layered)
+    vector = import_moments(layered3_moments_text(exact=kind == "exact"))
+    entries = dict(vector.entries)
+    for path, value in (edits or {}).items():
+        nodes = path.split()
+        mask = mask_of(vmap.edge_ordinal(e) for e in zip(nodes, nodes[1:]))
+        if value is None:
+            del entries[mask]
+        else:
+            entries[mask] = value
+    vector = MomentVector(vector.n_vars, vector.level, entries, exact=vector.exact)
+    return layered, vmap, vector
+
+
+# Both vectors clamp: r->a->d and r->b->d->s1 sit above their prefixes.
+# r->a->c has moment zero, so nothing below it is ever kept.  A path is
+# kept with probability at most its moment, so real draws never keep one
+# below the dead floor; `dead` is compared all the same.
+CLAMPING = {
+    "exact": {
+        "r a d": Fraction(9, 10),
+        "r b d s1": Fraction(7, 10),
+        "r a c": Fraction(0),
+    },
+    "float": {"r a c": 0.0},
+}
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63])
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_rounding_loops_match_sample_once_per_trial(kind, seed):
+    layered, vmap, vector = layered3_vector(kind, CLAMPING[kind])
+    oracle = VectorOracle(vector, vmap)
+    trials = 200
+    runs = [sample_once(oracle, layered, trial_rng(seed, t)) for t in range(trials)]
+    assert sum(run.clamps for run in runs) > 0
+
+    reps = 25
+    result = round_solution(oracle, layered, reps=reps, seed=seed)
+    union = frozenset().union(*(run.edges for run in runs[:reps]))
+    assert result.edges - result.repair_edges == union
+    assert verify_solution(layered.graph, result.edges) == (True, result.cost)
+    assert result.queries == sum(run.queries for run in runs[:reps])
+    assert result.clamps == sum(run.clamps for run in runs[:reps])
+
+    report = collect_stats(oracle, layered, trials, seed=seed)
+    assert report.queries == sum(run.queries for run in runs)
+    assert report.clamps == sum(run.clamps for run in runs)
+    assert report.dead == sum(run.dead for run in runs)
+    hits = Counter(path for run in runs for path in run.full_paths)
+    assert {row.path: row.hits for row in report.paths if row.hits} == hits
+    cost_sum = 0.0  # in trial order, as `collect_stats` adds them
+    for run in runs:
+        cost_sum += float(sum(layered.graph.cost(e) for e in run.edges))
+    assert report.mean_cost == cost_sum / trials
+
+
+def test_rounding_never_reads_below_a_branch_no_trial_keeps():
+    # r->a has moment zero and the moments of r->a->c and r->a->d are gone;
+    # full paths stay, since the stats rows list every one of them.
+    layered, vmap, vector = layered3_vector(
+        "exact", {"r a": Fraction(0), "r a c": None, "r a d": None}
+    )
+    oracle = CountingOracle(VectorOracle(vector, vmap))
+    result = round_solution(oracle, layered, reps=20, seed=3)
+    assert verify_solution(layered.graph, result.edges) == (True, result.cost)
+    report = collect_stats(oracle, layered, 50, seed=3)
+    assert report.trials == 50
+    assert (("r", "a"), ("a", "c")) not in oracle.seen
+    assert (("r", "a"), ("a", "d")) not in oracle.seen
+
+
+def test_rounding_missing_moment_on_a_kept_path_names_its_ordinals():
+    layered, vmap, vector = layered3_vector("exact", {"r b d": None})
+    oracle = VectorOracle(vector, vmap)
+    ordinals = tuple(sorted(vmap.edge_ordinal(e) for e in (RB, ("b", "d"))))
+    with pytest.raises(MissingMomentError) as info:
+        round_solution(oracle, layered, reps=20, seed=0)
+    assert info.value.index_set == ordinals
+    with pytest.raises(MissingMomentError) as info:
+        collect_stats(oracle, layered, 20, seed=0)
+    assert info.value.index_set == ordinals
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_rounding_reads_each_path_once_per_call(kind):
+    layered, vmap, vector = layered3_vector(kind, CLAMPING[kind])
+    oracle = CountingOracle(VectorOracle(vector, vmap))
+    round_solution(oracle, layered, reps=30, seed=1)
+    assert oracle.seen and max(oracle.seen.values()) == 1
+    oracle.seen.clear()
+    collect_stats(oracle, layered, 300, seed=1)
+    assert oracle.seen and max(oracle.seen.values()) == 1
 
 
 def test_edge_marginal_check_exact_ok():
