@@ -49,7 +49,6 @@ from .moments import (
     inversion_check,
     mobius_atoms,
     moment_matrix,
-    reconstruction_deviation,
     shift,
     shift_commutes_check,
 )

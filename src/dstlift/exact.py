@@ -5,12 +5,14 @@ instances, where it serves as ground truth for the LP/SDP relaxations and the
 randomized rounding.  The optimum uses the classic dynamic program over
 (node, terminal-subset) states: subtrees covering a subset are either merged
 at a common node from two smaller subsets or extended upward along one edge,
-with the edge extension phase run as a Dijkstra sweep per subset.
+with the edge extension phase run as a Dijkstra sweep per subset.  It runs on
+ints: costs times the lcm of their denominators keep every comparison.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,16 +53,19 @@ def exact_opt(inst: DstInstance) -> ExactResult:
     k = len(terms)
     if k > MAX_TERMINALS:
         raise CapExceededError(f"{k} terminals exceeds cap {MAX_TERMINALS}")
-    bit_of = {s: 1 << i for i, s in enumerate(terms)}
     full = (1 << k) - 1
-    nodes = inst.nodes
+    scale = math.lcm(*(c.denominator for _, c in inst.edges))
+    cost_of = {e: c.numerator * (scale // c.denominator) for e, c in inst.edges}
+    in_edges = {
+        v: [(e, e[0], cost_of[e]) for e in es] for v, es in inst.in_edges.items()
+    }
 
     # best[mask][v]: cheapest tree rooted at v spanning mask's terminals.
-    best: list[dict[str, Fraction]] = [dict() for _ in range(full + 1)]
+    best: list[dict[str, int]] = [dict() for _ in range(full + 1)]
     choice: list[dict[str, tuple]] = [dict() for _ in range(full + 1)]
-    for s in terms:
-        best[bit_of[s]][s] = Fraction(0)
-        choice[bit_of[s]][s] = ("leaf",)
+    for i, s in enumerate(terms):
+        best[1 << i][s] = 0
+        choice[1 << i][s] = ("leaf",)
 
     states = 0
     for mask in range(1, full + 1):
@@ -89,9 +94,8 @@ def exact_opt(inst: DstInstance) -> ExactResult:
                 continue
             settled.add(v)
             states += 1
-            for edge in inst.in_edges[v]:
-                tail = edge[0]
-                cand = c + inst.cost(edge)
+            for edge, tail, cost in in_edges[v]:
+                cand = c + cost
                 if tail not in table or cand < table[tail]:
                     table[tail] = cand
                     pick[tail] = ("edge", edge)
@@ -114,7 +118,8 @@ def exact_opt(inst: DstInstance) -> ExactResult:
             edge = what[1]
             edges.add(edge)
             stack.append((mask, edge[1]))
-    return ExactResult(cost=best[full][inst.root], edges=frozenset(edges), states=states)
+    cost = Fraction(best[full][inst.root], scale)
+    return ExactResult(cost=cost, edges=frozenset(edges), states=states)
 
 
 def root_paths(layered: LayeredInstance) -> dict[str, list[tuple[EdgeId, ...]]]:

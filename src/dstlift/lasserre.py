@@ -6,10 +6,12 @@ moment matrix over subsets of size at most t+1, and one shifted matrix per
 row over subsets of size at most t, all required positive semidefinite, with
 the empty set pinned to one.  Equalities arrive as opposite row pairs and
 force their shifted matrices to vanish.  One slot-map builder lays out every
-block as a linear map of the free values; the main block is the shift by the
-trivial row `0.x >= -1`.  The blocks are stacked into one affine map, the
-main block first, so the lift is a single cone.  This is a symbolic route of
-its own, kept apart from `moments.shift` so that the two can check each other.
+block as a linear map of the free values, from index arrays of the columns
+of I + J and I + J + v built once per block size; the main block is the
+shift by the trivial row `0.x >= -1`.  The blocks are stacked into one
+affine map, the main block first, so the lift is a single cone.  This is a
+symbolic route of its own, kept apart from `moments.shift` so that the two
+can check each other.
 
 `solve` runs consensus ADMM with over-relaxation on that one map: a sparse SPD
 solve for the subset values, one eigenvalue projection per block size (the
@@ -22,6 +24,7 @@ is the authority on feasibility quality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,25 +92,32 @@ def _slot_map(
     out row-major after the previous ones.  Slot (I, J) holds
     `sum a_v y(I + J + v) - rhs * y(I + J)`: terms on free subsets go to the
     sparse map, the term on the empty set (pinned to one) to the constant.
+    The columns of I + J and of each I + J + v are looked up once per call
+    into index arrays (-1 marks the empty set); a block's (slot, term) table
+    of them is read row-major, so its terms reach the map slot by slot, the
+    rhs term first and the support in row order.
     """
     size = len(masks) ** 2
+
+    @functools.cache
+    def columns(bit: int) -> np.ndarray:
+        unions = (col_of.get(mi | mj | bit, -1) for mi in masks for mj in masks)
+        return np.fromiter(unions, np.int32, count=size)
+
+    empty = columns(0) < 0
     C = np.zeros(len(rows) * size)
-    data, rows_ix, cols_ix = [], [], []
+    slots, cols, data = [np.zeros(0, np.intp)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for b, (support, rhs) in enumerate(rows):
-        unions = (mi | mj for mi in masks for mj in masks)
-        for slot, base in enumerate(unions, start=b * size):
-            if base == 0:
-                C[slot] += -rhs
-            else:
-                rows_ix.append(slot)
-                cols_ix.append(col_of[base])
-                data.append(-rhs)
-            for v, a in support:
-                rows_ix.append(slot)
-                cols_ix.append(col_of[base | (1 << v)])
-                data.append(a)
+        C[b * size : (b + 1) * size][empty] += -rhs
+        table = np.stack([columns(0)] + [columns(1 << v) for v, _ in support], axis=1)
+        keep = table >= 0
+        slot, term = np.nonzero(keep)
+        slots.append(slot + b * size)
+        cols.append(table[keep])
+        data.append(np.array([-rhs] + [a for _, a in support])[term])
     L = sp.coo_matrix(
-        (data, (rows_ix, cols_ix)), shape=(len(rows) * size, len(col_of))
+        (np.concatenate(data), (np.concatenate(slots), np.concatenate(cols))),
+        shape=(len(rows) * size, len(col_of)),
     ).tocsr()
     return L, C
 

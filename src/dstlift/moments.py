@@ -442,22 +442,6 @@ def decompose(
     return Decomposition(scope=s_set, drop=drop, parts=tuple(parts))
 
 
-def reconstruction_deviation(dec: Decomposition, y: MomentVector) -> Value:
-    """Max deviation of the weighted part sum from y on comparable entries."""
-    if not dec.parts:
-        raise DomainError("decomposition has no parts")
-    common = set(y.entries)
-    for part in dec.parts:
-        common &= part.vector.entries.keys()
-    if not common:
-        raise DomainError("no common domain for reconstruction")
-    pairs = (
-        (sum(p.weight * p.vector.entries[key] for p in dec.parts), y.entries[key])
-        for key in common
-    )
-    return _deviation(pairs, y.exact, 0.0)[1]
-
-
 def _psd_violation_exact(
     grid: Sequence[Sequence[Union[int, Fraction]]], scale: int = 1
 ) -> tuple[str, Fraction] | None:

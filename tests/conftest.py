@@ -169,3 +169,13 @@ def lp_feasible(cs, force_one=()):
     pins = tuple(Row({i: Fraction(1)}, Fraction(1), f"pin[{i}]") for i in force_one)
     probe = ConstraintSystem(cs.n_vars, cs.rows + pins, (Fraction(0),) * cs.n_vars)
     return solve_lp(probe).status == "optimal"
+
+
+def reconstruction_deviation(dec, y):
+    """Largest |sum of weight * part entry - y entry| over the keys all share."""
+    common = set(y.entries).intersection(*(p.vector.entries for p in dec.parts))
+    assert dec.parts and common, "nothing to reconstruct"
+    return max(
+        abs(sum(p.weight * p.vector.entries[key] for p in dec.parts) - y.entries[key])
+        for key in common
+    )

@@ -34,6 +34,7 @@ from conftest import (
     REFERENCE_OPT_EDGES,
     REFERENCE_TEXT,
     lp_feasible,
+    reconstruction_deviation,
     tiny_chain,
     tiny_diamond,
 )
@@ -446,7 +447,7 @@ def test_exact_vector_suite_certifies_and_decomposes():
             assert ok_sc and dev_sc == 0, f"{name}#{k}: commute {dev_sc}"
 
             dec = moments.decompose(y, scope, 2)
-            assert moments.reconstruction_deviation(dec, y) == 0
+            assert reconstruction_deviation(dec, y) == 0
             assert sum(p.weight for p in dec.parts) == 1
             for part in dec.parts:
                 for i in scope:

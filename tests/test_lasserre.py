@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dstlift.cli import main
 from dstlift.exact import exact_opt
 from dstlift.flow_lp import ConstraintSystem, Row, build_flow_lp, solve_lp
-from dstlift.instance import as_layered, format_instance
+from dstlift.instance import as_layered, format_instance, parse_instance
 from dstlift.lasserre import (
     BudgetError,
     SolverConfig,
@@ -35,7 +36,7 @@ from dstlift.moments import (
     shift,
 )
 
-from conftest import tiny_chain, tiny_diamond
+from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond
 
 
 @pytest.mark.parametrize("n,level", [(3, 0), (5, 1), (8, 2), (4, 5)])
@@ -147,6 +148,85 @@ def test_assemble_matches_moment_algebra(make_system, level, dist):
     for i, c in enumerate(cs.objective):
         col = prob.free_sets.index(1 << i)
         assert prob.objective[col] == float(c)
+
+
+def _appended_slot_map(rows, masks, col_of):
+    """Slot maps built one COO entry at a time: the reference for `_slot_map`.
+
+    Slot by slot, the rhs term on I + J first, then the support in row order.
+    """
+    size = len(masks) ** 2
+    C = np.zeros(len(rows) * size)
+    data, rows_ix, cols_ix = [], [], []
+    for b, (support, rhs) in enumerate(rows):
+        unions = (mi | mj for mi in masks for mj in masks)
+        for slot, base in enumerate(unions, start=b * size):
+            if base == 0:
+                C[slot] += -rhs
+            else:
+                rows_ix.append(slot)
+                cols_ix.append(col_of[base])
+                data.append(-rhs)
+            for v, a in support:
+                rows_ix.append(slot)
+                cols_ix.append(col_of[base | (1 << v)])
+                data.append(a)
+    L = sp.coo_matrix(
+        (data, (rows_ix, cols_ix)), shape=(len(rows) * size, len(col_of))
+    ).tocsr()
+    return L, C
+
+
+def _thirds_system():
+    """Rows with up to three support variables and coefficients like 1/3.
+
+    At level 2 a support variable often lies in I + J already, so up to four
+    terms of one slot land on one column and are summed.
+    """
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    rows = (
+        Row({0: third, 1: 2 * third, 2: Fraction(-1, 7)}, third, "a"),
+        Row({1: Fraction(1), 3: third}, Fraction(0), "b"),
+        Row({0: -third, 2: sixth, 3: -5 * sixth}, Fraction(-1), "c"),
+    )
+    return ConstraintSystem(n_vars=4, rows=rows, objective=(Fraction(1, 3),) * 4)
+
+
+def _reference_system():
+    """The reference flow LP: 85 variables, so masks pass 63 bits at level 0."""
+    return build_flow_lp(as_layered(parse_instance(REFERENCE_TEXT)))[0]
+
+
+@pytest.mark.parametrize(
+    "make_system,level",
+    [
+        (_thirds_system, 2),
+        (_diamond_system, 2),
+        (_reference_system, 0),
+        (lambda: _empty_system(3), 1),
+    ],
+    ids=["thirds@2", "diamond-lp@2", "reference@0", "no-rows@1"],
+)
+def test_assemble_matches_append_loop_bit_for_bit(make_system, level):
+    cs = make_system()
+    prob = assemble(cs, level)
+    n = cs.n_vars
+    col_of = {m: i for i, m in enumerate(prob.free_sets)}
+    rows = [
+        ([(i, float(a)) for i, a in r.coeffs.items()], float(r.rhs)) for r in cs.rows
+    ]
+    main = _appended_slot_map([([], -1.0)], list(masks_upto(n, level + 1)), col_of)
+    row_blocks = _appended_slot_map(rows, list(masks_upto(n, level)), col_of)
+    L = sp.vstack([main[0], row_blocks[0]], format="csr")
+    C = np.concatenate([main[1], row_blocks[1]])
+
+    assert prob.L.shape == L.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(prob.L, name), getattr(L, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # zeros keep their sign
+    assert prob.C.tobytes() == C.tobytes()
 
 
 def test_project_psd_batch_keeps_psd_blocks_and_clips_the_rest():

@@ -34,12 +34,13 @@ from dstlift.moments import (
     masks_upto,
     mobius_atoms,
     moment_matrix,
-    reconstruction_deviation,
     set_of,
     shift,
     shift_commutes_check,
 )
 from dstlift.flow_lp import Row
+
+from conftest import reconstruction_deviation
 
 
 def _rational_distribution(rng, n_vars, n_points):
