@@ -13,19 +13,11 @@ from pathlib import Path
 
 from . import exact, flow_lp, harness, lasserre, moments, rounding
 from .harness import canonical_json
-from .instance import (
-    as_layered,
-    format_instance,
-    levelize,
-    parse_instance,
-)
+from .instance import format_instance, levelize, parse_instance
 
 
 def _load_layered(path: str, ell: int | None):
-    inst = parse_instance(Path(path).read_text())
-    if ell is None:
-        return as_layered(inst)
-    return levelize(inst, ell)
+    return harness.layer(parse_instance(Path(path).read_text()), ell)
 
 
 def _cmd_levelize(args) -> int:
@@ -167,29 +159,16 @@ def _cmd_round(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     oracle = _oracle_for(args, layered)
     runs = []
-    for i in range(args.trials):
-        result = rounding.round_solution(
-            oracle, layered, reps=args.reps, seed=args.seed + i
-        )
+    for seed in range(args.seed, args.seed + args.trials):
+        result = rounding.round_solution(oracle, layered, reps=args.reps, seed=seed)
         runs.append(
-            {
-                "seed": args.seed + i,
-                "cost": result.cost,
-                "repair_cost": result.repair_cost,
+            harness.round_record(seed, result)
+            | {
                 "connected_before_repair": result.connected_before_repair,
-                "repetitions": result.repetitions,
-                "clamps": result.clamps,
-                "queries": result.queries,
                 "edges": sorted(f"{t}->{h}" for t, h in result.edges),
             }
         )
-    costs = [float(r["cost"]) for r in runs]
-    payload = {
-        "trials": args.trials,
-        "runs": runs,
-        "mean_cost": sum(costs) / len(costs),
-        "best_cost": min(costs),
-    }
+    payload = {"trials": args.trials, **harness.round_summary(runs)}
     if args.out:
         Path(args.out).write_text(canonical_json(payload))
     sys.stdout.write(canonical_json(payload))
@@ -308,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--t", dest="level", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1.0e-7)
-    p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--certify-tol", type=float, default=1.0e-5)
+    p.add_argument("--tol", type=float, default=lasserre.SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=lasserre.SolverConfig.max_iter)
+    p.add_argument("--certify-tol", type=float, default=harness.CERTIFY_TOL)
     p.add_argument("--out", default=None, help="write the moment file")
     p.add_argument("--replay", default=None, help="load moments instead of solving")
     p.set_defaults(fn=_cmd_lift_solve)
@@ -349,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a reporting suite")
     p.add_argument("--suite", choices=list(harness.SUITES), required=True)
-    p.add_argument("--tol", type=float, default=1.0e-7)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--tol", type=float, default=lasserre.SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=lasserre.SolverConfig.max_iter)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--tsv", default=None)

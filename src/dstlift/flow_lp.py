@@ -340,6 +340,8 @@ def parse_lp_dump(text: str) -> ConstraintSystem:
         n, m = int(n_s), int(m_s)
     except ValueError as exc:
         raise LpFormatError("bad header") from exc
+    if n < 0 or m < 0:
+        raise LpFormatError(f"negative count in header {lines[0]!r}")
     if len(lines) != m + 2:
         raise LpFormatError(f"expected {m + 2} lines, found {len(lines)}")
     obj_parts = lines[1].split()

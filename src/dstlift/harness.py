@@ -4,8 +4,9 @@ Generators produce set-cover shaped instances (root, weighted set nodes,
 free set-to-element edges), a small family with a known fractional gap, and
 random layered graphs where every node keeps a forced parent so terminals
 stay reachable.  `run_pipeline` chains levelize, LP, lift, solve, certify,
-exact reference, and rounding into one report row; `run_experiment` batches
-rows into suites and can emit a gnuplot-friendly ratio table.
+exact reference, and rounding into one report row; `SUITES` lists each
+suite's rows as data, which `run_experiment` runs in order, and
+`ratio_table` renders a gnuplot-friendly table of the result.
 """
 
 from __future__ import annotations
@@ -179,6 +180,30 @@ def _plain_key(key) -> str:
     return str(key)
 
 
+def layer(inst: DstInstance, ell: int | None) -> LayeredInstance:
+    """`inst` as a layered instance: levelized to `ell` layers when given,
+    otherwise it must already be layered."""
+    return as_layered(inst) if ell is None else levelize(inst, ell)
+
+
+def round_record(seed: int, result: rounding.RoundResult) -> dict:
+    """The report fields of one rounding run."""
+    return {
+        "seed": seed,
+        "cost": result.cost,
+        "repair_cost": result.repair_cost,
+        "repetitions": result.repetitions,
+        "clamps": result.clamps,
+        "queries": result.queries,
+    }
+
+
+def round_summary(runs: list[dict]) -> dict:
+    """Rounding runs with their mean and best cost."""
+    costs = [float(r["cost"]) for r in runs]
+    return {"runs": runs, "mean_cost": sum(costs) / len(costs), "best_cost": min(costs)}
+
+
 # Solver output is certified at this tolerance and rounded once per seed,
 # each time with the default repetition count.
 CERTIFY_TOL = 1.0e-5
@@ -211,15 +236,10 @@ def run_pipeline(
     def stage(name_: str, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except PipelineError:
-            raise
         except Exception as exc:
             raise PipelineError(name_, str(exc)) from exc
 
-    if ell is None:
-        layered = stage("layering", as_layered, inst)
-    else:
-        layered = stage("layering", levelize, inst, ell)
+    layered = stage("layering", layer, inst, ell)
     if cfg.do_round and level < layered.ell:
         raise PipelineError(
             "precondition",
@@ -276,26 +296,12 @@ def run_pipeline(
                 "rounding", rounding.round_solution, oracle, layered, None, seed
             )
             mapped = stage("map-back", _map_back_cost, layered, result)
-            rounds.append(
-                {
-                    "seed": seed,
-                    "cost": result.cost,
-                    "repair_cost": result.repair_cost,
-                    "repetitions": result.repetitions,
-                    "clamps": result.clamps,
-                    "queries": result.queries,
-                    "base_cost": mapped,
-                }
-            )
-        costs = [float(r["cost"]) for r in rounds]
-        row["rounding"] = {
-            "runs": rounds,
-            "mean_cost": sum(costs) / len(costs),
-            "best_cost": min(costs),
-            "rounded_over_opt": min(costs) / float(opt_layered.cost)
-            if opt_layered.cost
-            else None,
-        }
+            rounds.append(round_record(seed, result) | {"base_cost": mapped})
+        summary = round_summary(rounds)
+        summary["rounded_over_opt"] = (
+            summary["best_cost"] / float(opt_layered.cost) if opt_layered.cost else None
+        )
+        row["rounding"] = summary
     return row
 
 
@@ -307,14 +313,15 @@ def _map_back_cost(layered: LayeredInstance, result: rounding.RoundResult):
     return cost
 
 
-def _smoke_rows(config: PipelineConfig) -> list[dict]:
-    chain = make_instance(
-        ["r", "a", "s"],
-        [("r", "a", Fraction(2)), ("a", "s", Fraction(3))],
-        "r",
-        ["s"],
+def _chain() -> DstInstance:
+    return make_instance(
+        ["r", "a", "s"], [("r", "a", Fraction(2)), ("a", "s", Fraction(3))], "r", ["s"]
     )
-    diamond = make_instance(
+
+
+def _diamond() -> DstInstance:
+    """Two root-terminal routes of costs 5 and 3."""
+    return make_instance(
         ["r", "a", "b", "s"],
         [
             ("r", "a", Fraction(1)),
@@ -325,46 +332,20 @@ def _smoke_rows(config: PipelineConfig) -> list[dict]:
         "r",
         ["s"],
     )
-    return [
-        run_pipeline(chain, None, 2, name="chain", config=config),
-        run_pipeline(diamond, None, 2, name="diamond", config=config),
-    ]
 
 
-def _gap_rows(config: PipelineConfig) -> list[dict]:
-    no_round = replace(config, do_round=False)
-    return [
-        run_pipeline(gap_instance(3), None, 1, name="gap3", config=no_round),
-    ]
-
-
-def _full_rows(config: PipelineConfig) -> list[dict]:
-    rows = []
-    rows.extend(_smoke_rows(config))
-    rows.extend(_gap_rows(config))
-    no_round = replace(config, do_round=False)
-    rows.append(
-        run_pipeline(
-            gen_random_layered(2, [2, 2], seed=7),
-            None,
-            1,
-            name="layered-2x2",
-            config=no_round,
-        )
-    )
-    rows.append(
-        run_pipeline(
-            gen_set_cover(3, 2, seed=11),
-            None,
-            1,
-            name="cover-3x2",
-            config=no_round,
-        )
-    )
-    return rows
-
-
-SUITES = {"smoke": _smoke_rows, "gap": _gap_rows, "full": _full_rows}
+# A suite is rows of (name, instance builder, lift level, round?); the builders
+# look generators up at call time, so a wrapped generator is the one called.
+_SMOKE = (("chain", _chain, 2, True), ("diamond", _diamond, 2, True))
+_GAP = (("gap3", lambda: gap_instance(3), 1, False),)
+SUITES = {
+    "smoke": _SMOKE,
+    "gap": _GAP,
+    "full": _SMOKE + _GAP + (
+        ("layered-2x2", lambda: gen_random_layered(2, [2, 2], seed=7), 1, False),
+        ("cover-3x2", lambda: gen_set_cover(3, 2, seed=11), 1, False),
+    ),
+}
 
 
 def run_experiment(
@@ -373,7 +354,12 @@ def run_experiment(
     """Run a named suite and return its JSON-ready report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    rows = SUITES[suite](config or PipelineConfig())
+    config = config or PipelineConfig()
+    no_round = replace(config, do_round=False)
+    rows = [
+        run_pipeline(make(), None, level, name, config if rounds else no_round)
+        for name, make, level, rounds in SUITES[suite]
+    ]
     return {
         "suite": suite,
         "rows": rows,

@@ -298,6 +298,8 @@ def from_distribution(
             raise ValueError(f"bad 0/1 point {point!r}")
         if isinstance(mass, float):
             any_float = True
+            if not math.isfinite(mass):
+                raise ValueError(f"non-finite mass {mass}")
         if mass < 0:
             raise ValueError(f"negative mass {mass}")
         merged[key] = merged.get(key, 0) + mass
@@ -540,6 +542,8 @@ def certify(
     and the product form when every singleton is integral.  Exact vectors use
     tolerance zero regardless of `tol`.
     """
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     n = y.n_vars
     if y.complete_size() < min(2 * level + 2, n):
         raise DomainError("vector is not complete to the requested level")

@@ -136,6 +136,9 @@ def sample_once(
     of its moment to its prefix's.  Probabilities outside [0, 1] (possible
     for approximate oracles) are clamped and counted; paths whose moment
     falls below an absolute floor are not extended and counted as dead.
+    A path is kept with probability at most its moment, so with a real
+    generator a dead path is a one-in-1e12 event: `dead` counts only under
+    an injected draw source.
     """
     return _PathTree(oracle, layered).sample(rng.random)
 

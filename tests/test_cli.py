@@ -400,6 +400,15 @@ def test_error_exit_codes(tmp_path, capsys):
     argv = ["lift-solve", str(diamond), "--t", "1", "--max-iter", "0"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", "error: need at least one iteration\n")
+    half = tmp_path / "half.mv"
+    dist = [(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (0, 0))]
+    half.write_text(export_moments(from_distribution(dist, 0)))
+    system = tmp_path / "x0.lpdump"
+    system.write_text("lpdump 2 1\nmin 1 1\nge 1 0 1 x0\n")
+    code, _, _ = run_cli(["check", str(half), str(system), "--t", "0"], capsys)
+    assert code == 1  # the shifted matrix y(x0 - 1) = -1/2 is not PSD
+    code, out, err = run_cli(["check", str(half), str(system), "--t", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: level must be nonnegative\n")
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 

@@ -299,6 +299,9 @@ def test_lp_dump_rejects_malformed():
         parse_lp_dump("lpdump 1 0\nmin --1\n")  # doubled sign
     with pytest.raises(LpFormatError):
         parse_lp_dump("lpdump 1 1\nmin 1\nge 1 --1 r\n")
+    for header in ("lpdump 2 -1\n", "lpdump -1 0\nmin\n"):
+        with pytest.raises(LpFormatError, match="negative count in header"):
+            parse_lp_dump(header)
 
 
 def test_lp_feasible_pinning():

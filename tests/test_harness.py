@@ -6,6 +6,7 @@ import pytest
 
 from dstlift.exact import exact_opt
 from dstlift.flow_lp import build_flow_lp, solve_lp
+from dstlift import harness
 from dstlift.harness import (
     GenerationError,
     PipelineConfig,
@@ -169,6 +170,30 @@ def test_run_experiment_gap_suite():
     assert "rounding" not in row
     assert report["summary"]["instances"] == 1
     assert report["summary"]["min_lp_over_opt"] == 0.75
+
+
+def test_run_experiment_suite_table(monkeypatch):
+    """Each suite runs its rows in order; only smoke rows round, and never
+    when the config turns rounding off."""
+    calls = []
+
+    def stub(inst, ell, level, name="instance", config=None):
+        calls.append((name, len(inst.edges), ell, level, config.do_round))
+        return {"name": name, "lp_over_opt": None}
+
+    monkeypatch.setattr(harness, "run_pipeline", stub)
+    smoke = [("chain", 2, None, 2, True), ("diamond", 4, None, 2, True)]
+    gap = [("gap3", 9, None, 1, False)]
+    extra = [("layered-2x2", 4, None, 1, False), ("cover-3x2", 6, None, 1, False)]
+    expected = {"smoke": smoke, "gap": gap, "full": smoke + gap + extra}
+    no_round = PipelineConfig(do_round=False)
+    for config, rounds in ((PipelineConfig(), True), (no_round, False)):
+        for suite, rows in expected.items():
+            calls.clear()
+            report = run_experiment(suite, config)
+            assert calls == [r[:4] + (r[4] and rounds,) for r in rows]
+            assert [r["name"] for r in report["rows"]] == [r[0] for r in rows]
+            assert report["summary"]["instances"] == len(rows)
 
 
 def test_run_experiment_unknown_suite():

@@ -81,6 +81,11 @@ def test_from_distribution_validation():
         from_distribution([(Fraction(1), (0, 2))], 1)  # not a 0/1 point
 
 
+def test_from_distribution_rejects_nan_mass():
+    with pytest.raises(ValueError, match="nan"):
+        from_distribution([(1.0, (0, 1)), (math.nan, (1, 0))], 0)
+
+
 def test_missing_entry_raises():
     y = MomentVector(2, 0, {0b00: Fraction(1), 0b01: Fraction(1, 2)}, exact=True)
     with pytest.raises(MissingMomentError):
@@ -440,6 +445,15 @@ def test_certify_accepts_distributions_with_rows():
     assert report.ok
     assert report.checks["psd_shifted"] == 3
     assert report.checks["monotonicity"] > 0
+
+
+def test_certify_rejects_negative_level():
+    # at level -1 the row block would be empty and the check vacuous
+    y = from_distribution([(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (0, 0))], 0)
+    row = Row({0: Fraction(1)}, Fraction(1), "x0")
+    assert not certify(y, 0, [row]).ok
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        certify(y, -1, [row])
 
 
 def test_certify_flags_bound_violation():
