@@ -16,10 +16,16 @@ can check each other.
 `solve` runs consensus ADMM with over-relaxation on that one map: a sparse SPD
 solve for the subset values, one eigenvalue projection per block size (the
 blocks of a size go through one batched call, and blocks that are already PSD
-are kept as they are), and scaled-residual stopping.  Everything is
-deterministic for fixed inputs.  The result carries a float moment vector
-plus diagnostics including a projected dual bound; the certifier in `moments`
-is the authority on feasibility quality.
+are kept as they are), and scaled-residual stopping.  Its state is the one
+point p that goes into the projection: the cone value is z = proj(p) and the
+scaled dual is u = p - z.  Type-II Anderson acceleration extrapolates p
+from the last 10 steps, at a cost of 2 * 10 * m doubles of history for m cone
+slots.  Its memory starts over at every penalty change, and after an
+extrapolation that raised the fixed-point residual more than fivefold; that
+extrapolation is dropped for the plain step.  Everything is deterministic for
+fixed inputs.  The result carries a float moment vector plus diagnostics
+including a projected dual bound; the certifier in `moments` is the
+authority on feasibility quality.
 """
 
 from __future__ import annotations
@@ -175,10 +181,17 @@ def assemble(
 
 # ADMM starts at penalty RHO_START and rebalances it every 100 iterations;
 # OVER_RELAX is the over-relaxation factor of the cone updates.  Residuals
-# are checked every CHECK_EVERY iterations and at the last one.
+# are checked every CHECK_EVERY iterations and at the last one.  Anderson
+# acceleration extrapolates from the last ANDERSON_MEMORY steps; its small
+# least-squares solve is damped by ANDERSON_REG times the largest Gram
+# diagonal entry, and an extrapolated point whose fixed-point residual is
+# over ANDERSON_SAFEGUARD times that of the point before it is rejected.
 RHO_START = 2.0
 OVER_RELAX = 1.6
 CHECK_EVERY = 25
+ANDERSON_MEMORY = 10
+ANDERSON_REG = 1.0e-10
+ANDERSON_SAFEGUARD = 5.0
 
 
 @dataclass(frozen=True)
@@ -215,17 +228,70 @@ def _project_psd_batch(stack: np.ndarray) -> np.ndarray:
     return sym
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map `p -> f(p)`.
+
+    Ring buffers hold the last `ANDERSON_MEMORY` differences of the iterates
+    (`dp`) and of their residuals `g = f - p` (`dg`), one row per step, and
+    the Gram matrix of `dg` gains one row and column per step.  `step`
+    returns `f - gamma.dp - gamma.dg`, where gamma is the damped
+    least-squares fit of g by the rows of `dg`.  When p was itself an
+    extrapolation and its residual is over `ANDERSON_SAFEGUARD` times that of
+    the point before it, `step` returns None instead and the memory starts
+    over: the caller goes back to the plain step from that point.
+    """
+
+    def __init__(self, m: int):
+        self.dp = np.zeros((ANDERSON_MEMORY, m))
+        self.dg = np.zeros((ANDERSON_MEMORY, m))
+        self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.reset()
+
+    def reset(self) -> None:
+        self.used = self.slot = 0
+        self.last: tuple[np.ndarray, np.ndarray, float] | None = None
+        self.extrapolated = False
+
+    def step(self, p: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+        g = f - p
+        g_norm = float(np.linalg.norm(g))
+        if self.extrapolated and g_norm > ANDERSON_SAFEGUARD * self.last[2]:
+            self.reset()
+            return None
+        last, self.last = self.last, (p, g, g_norm)
+        self.extrapolated = False
+        if last is None:
+            return f
+        j = self.slot
+        np.subtract(p, last[0], out=self.dp[j])
+        np.subtract(g, last[1], out=self.dg[j])
+        self.slot = (j + 1) % ANDERSON_MEMORY
+        self.used = k = min(self.used + 1, ANDERSON_MEMORY)
+        dp, dg = self.dp[:k], self.dg[:k]
+        self.gram[j, :k] = self.gram[:k, j] = dg @ dg[j]
+        gram = self.gram[:k, :k]
+        damp = ANDERSON_REG * float(np.diagonal(gram).max())
+        if damp == 0.0:
+            return f
+        gamma = np.linalg.solve(gram + damp * np.eye(k), dg @ g)
+        self.extrapolated = True
+        return f - gamma @ dp - gamma @ dg
+
+
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Run ADMM on the assembled lift and return a float moment vector.
 
     The iteration is deterministic; `diagnostics` records residuals, the
-    objective, a projected dual bound with its infeasibility, and whether the
-    tolerances were met within the iteration cap.  A cap below one iteration
-    raises `ValueError`.
+    objective, a projected dual bound with its infeasibility, the number of
+    penalty changes, and whether the tolerances were met within the
+    iteration cap.  A cap below one iteration, or a tolerance that is not
+    positive and finite, raises `ValueError`.
     """
     cfg = config or SolverConfig()
     if cfg.max_iter < 1:
         raise ValueError("need at least one iteration")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ValueError("tol must be positive and finite")
     d1, d0, nblk = problem.main_dim, problem.row_dim, problem.n_row_blocks
     n_free = len(problem.free_sets)
     L, C = problem.L, problem.C
@@ -242,22 +308,32 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     solve_gram = _factor_gram((LT @ L).tocsc())
 
-    x = np.zeros(n_free)
-    z = np.zeros(L.shape[0])
-    u = np.zeros_like(z)
+    # The state is the point p that goes into the projection: z = proj(p)
+    # and the scaled dual u = p - z are its Moreau parts.
+    p = np.zeros(L.shape[0])
+    z = np.zeros_like(p)
+    accel = _Anderson(len(p))
     rho = RHO_START
+    rho_changes = 0
 
     it = 0
     converged = False
     r_norm = s_norm = float("nan")
     for it in range(1, cfg.max_iter + 1):
-        x = solve_gram(LT @ (z - u - C) - c / rho)
+        x = solve_gram(LT @ (2.0 * z - p - C) - c / rho)
         ax = L @ x + C
-        h = OVER_RELAX * ax + (1.0 - OVER_RELAX) * z
-        z_new = project(h + u)
-        u = u + h - z_new
+        f = p + OVER_RELAX * (ax - z)
+        p_new = accel.step(p, f)
+        if p_new is None:
+            # p was a rejected extrapolation: redo the last iteration's plain
+            # step instead, residuals included
+            x, ax, z, p_new = plain
+        else:
+            plain = (x, ax, z, f)
+        z_new = project(p_new)
 
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
+            u = p_new - z_new
             r_norm = float(np.linalg.norm(ax - z_new))
             s_norm = float(np.linalg.norm(rho * (LT @ (z_new - z))))
             eps_pri = cfg.tol * math.sqrt(len(z)) + cfg.tol * max(
@@ -270,13 +346,19 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 converged = True
                 break
             if it % 100 == 0 and it < 0.8 * cfg.max_iter:
+                factor = 1.0
                 if r_norm > 10.0 * s_norm and rho < 1.0e6:
-                    rho *= 2.0
-                    u /= 2.0
+                    factor = 2.0
                 elif s_norm > 10.0 * r_norm and rho > 1.0e-6:
-                    rho /= 2.0
-                    u *= 2.0
-        z = z_new
+                    factor = 0.5
+                if factor != 1.0:
+                    # the new penalty rescales u and changes the map, so the
+                    # acceleration memory starts over
+                    rho *= factor
+                    p_new = z_new + u / factor
+                    rho_changes += 1
+                    accel.reset()
+        p, z = p_new, z_new
 
     objective = float(problem.objective @ x)
     Y = project(-rho * u)
@@ -297,6 +379,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         "dual_infeasibility": dual_infeas,
         "gap_estimate": abs(objective - dual_objective) / max(1.0, abs(objective)),
         "rho_final": rho,
+        "rho_changes": rho_changes,
         "main_dim": d1,
         "row_dim": d0,
         "n_row_blocks": nblk,

@@ -11,6 +11,7 @@ import pytest
 
 from dstlift import as_layered, build_flow_lp, make_instance, parse_instance, solve_lp
 from dstlift.flow_lp import ConstraintSystem, Row
+from dstlift.harness import _chain, _diamond
 from dstlift.moments import MomentVector, export_moments, from_distribution, mask_of
 
 REFERENCE_TEXT = """\
@@ -68,6 +69,12 @@ REFERENCE_OPT_EDGES = frozenset(
 )
 
 
+# The experiment suites' toy instances: a two-edge chain of cost 5, and a
+# diamond with two root-terminal routes of costs 5 and 3.
+tiny_chain = _chain
+tiny_diamond = _diamond
+
+
 @pytest.fixture(scope="session")
 def reference_instance():
     return parse_instance(REFERENCE_TEXT)
@@ -83,15 +90,14 @@ def reference_lp(reference_layered):
     return build_flow_lp(reference_layered)
 
 
-def tiny_diamond():
-    """Two root-terminal routes of costs 5 and 3."""
+def tiny_path3():
+    """One route of three edges, costs 1, 2 and 3: the lift has one point."""
     return make_instance(
         ["r", "a", "b", "s"],
         [
             ("r", "a", Fraction(1)),
-            ("r", "b", Fraction(2)),
-            ("a", "s", Fraction(4)),
-            ("b", "s", Fraction(1)),
+            ("a", "b", Fraction(2)),
+            ("b", "s", Fraction(3)),
         ],
         "r",
         ["s"],
@@ -150,15 +156,6 @@ def layered3_moments_text(exact=True):
             entries[mask_of(vmap.edge_ordinal(e) for e in _edges(path))] = value
         y = MomentVector(y.n_vars, y.level, entries, exact=False)
     return export_moments(y)
-
-
-def tiny_chain():
-    return make_instance(
-        ["r", "a", "s"],
-        [("r", "a", Fraction(2)), ("a", "s", Fraction(3))],
-        "r",
-        ["s"],
-    )
 
 
 def lp_feasible(cs, force_one=()):

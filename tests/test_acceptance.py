@@ -37,6 +37,7 @@ from conftest import (
     reconstruction_deviation,
     tiny_chain,
     tiny_diamond,
+    tiny_path3,
 )
 
 
@@ -89,19 +90,6 @@ def criterion(num: int):
 
 # ---------------------------------------------------------------------------
 # shared instances, solved vectors, and sampling reports
-
-
-def _path3():
-    return make_instance(
-        ["r", "a", "b", "s"],
-        [
-            ("r", "a", Fraction(1)),
-            ("a", "b", Fraction(2)),
-            ("b", "s", Fraction(3)),
-        ],
-        "r",
-        ["s"],
-    )
 
 
 def _star():
@@ -167,7 +155,7 @@ def _setup(name: str):
     makers = {
         "chain": tiny_chain,
         "diamond": tiny_diamond,
-        "path3": _path3,
+        "path3": tiny_path3,
         "star": _star,
         "fork": _fork,
         "wide3": _wide3,
@@ -567,14 +555,19 @@ def test_per_terminal_count_laws_hold():
 
 @criterion(7)
 def test_rounding_feasibility_and_cost_bound():
-    # Instances whose level-2 lifts converge cleanly; single-route trees
-    # with a unique feasible point stall the splitting solver and are
-    # left out (same geometry discussed at criterion 8).
+    # Level-2 lifts, plus the single-route path3 at its layer depth 3: its
+    # lift has one feasible point and no interior.
     seeds = range(20)
     details = []
-    for name in ("chain", "diamond", "star", "wide3"):
+    for name, level in (
+        ("chain", 2),
+        ("diamond", 2),
+        ("star", 2),
+        ("wide3", 2),
+        ("path3", 3),
+    ):
         layered, cs, vmap = _setup(name)
-        sol = _solved(name, 2)
+        sol = _solved(name, level)
         oracle = rounding.VectorOracle(sol.vector, vmap)
         reps = rounding.default_reps(layered)
         fractional = sum(
@@ -597,8 +590,8 @@ def test_rounding_feasibility_and_cost_bound():
     _verdict(
         7,
         True,
-        f"80 roundings all independently verified feasible; mean cost within "
-        f"(reps+1) x fractional: " + "; ".join(details),
+        f"{len(details) * len(seeds)} roundings all independently verified "
+        f"feasible; mean cost within (reps+1) x fractional: " + "; ".join(details),
     )
 
 
@@ -609,14 +602,9 @@ def test_rounding_feasibility_and_cost_bound():
 
 @criterion(8)
 def test_full_level_lift_recovers_exact_optimum():
-    # The three-edge single-route instance is excluded: its lift has a
-    # unique feasible point, and the splitting solver stalls far from
-    # feasibility on that zero-interior geometry (objective 6.2 vs 6.0
-    # after the full iteration budget).  The two instances kept here
-    # converge cleanly at full level.
     mass_tol = 1.0e-5
     details = []
-    for name in ("chain", "star"):
+    for name in ("chain", "star", "path3"):
         layered, cs, vmap = _setup(name)
         sol = _solved(name, cs.n_vars)
         opt = exact.exact_opt(layered.graph)

@@ -400,6 +400,14 @@ def test_error_exit_codes(tmp_path, capsys):
     argv = ["lift-solve", str(diamond), "--t", "1", "--max-iter", "0"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", "error: need at least one iteration\n")
+    for tol in ("-1", "0", "nan"):
+        argv = ["lift-solve", str(diamond), "--t", "1", "--tol", tol]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: tol must be positive and finite\n")
+        argv = ["experiment", "--suite", "smoke", "--tol", tol]
+        code, out, err = run_cli(argv, capsys)
+        want = "error: [sdp-solve] tol must be positive and finite\n"
+        assert (code, out, err) == (2, "", want)
     half = tmp_path / "half.mv"
     dist = [(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (0, 0))]
     half.write_text(export_moments(from_distribution(dist, 0)))

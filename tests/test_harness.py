@@ -157,9 +157,9 @@ def test_run_pipeline_stage_attribution():
 
 
 def test_run_experiment_gap_suite():
-    # the lifted gap3 SDP converges only after minutes (to ~2.0, closing the
-    # 3/2 fractional gap), which belongs to the experiment CLI; here a capped
-    # run checks the exact LP and OPT facts
+    # the full gap3 level-1 solve takes about 80 s on two cores (550
+    # iterations, to 2.000003, closing the 3/2 fractional gap), which belongs
+    # to the experiment CLI; here a capped run checks the exact LP and OPT facts
     capped = PipelineConfig(solver=SolverConfig(max_iter=40))
     report = run_experiment("gap", capped)
     assert report["suite"] == "gap"

@@ -36,7 +36,7 @@ from dstlift.moments import (
     shift,
 )
 
-from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond
+from conftest import REFERENCE_TEXT, tiny_chain, tiny_diamond, tiny_path3
 
 
 @pytest.mark.parametrize("n,level", [(3, 0), (5, 1), (8, 2), (4, 5)])
@@ -317,8 +317,33 @@ def test_diagnostics_fields():
         "dual_infeasibility",
         "gap_estimate",
         "rho_final",
+        "rho_changes",
     ):
         assert key in d
+
+
+def test_full_level_single_route_lift_converges():
+    # the lift of one three-edge route has a single feasible point and no
+    # interior, where unaccelerated ADMM stalls (at 6.2 after 20,000 steps)
+    _, cs, _ = _layered_lp(tiny_path3())
+    sol = solve(assemble(cs, cs.n_vars), SolverConfig(max_iter=1000))
+    assert sol.diagnostics["converged"]
+    assert abs(sol.objective - 6.0) <= 1e-5
+
+
+def test_solver_reaches_an_exact_fixed_point():
+    # no rows and a zero objective: the iterates stop changing bit for bit,
+    # so the acceleration history is all zeros and must not be solved with
+    sol = solve(assemble(_empty_system(3), 1))
+    assert sol.diagnostics["converged"]
+    assert sol.objective == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_solver_rejects_bad_tolerance(tol):
+    _, cs, _ = _layered_lp(tiny_chain())
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve(assemble(cs, 0), SolverConfig(tol=tol))
 
 
 def test_solve_from_file_replay():
