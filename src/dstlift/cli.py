@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import exact, flow_lp, harness, lasserre, moments, rounding
@@ -145,7 +146,7 @@ def _cmd_check(args) -> int:
 
 def _oracle_for(args, layered):
     vector = moments.import_moments(Path(args.moments).read_text())
-    _, vmap = flow_lp.build_flow_lp(layered)
+    vmap = flow_lp.VariableMap(layered.graph)
     if vector.n_vars != vmap.n_vars:
         raise moments.MomentFormatError(
             f"moments over {vector.n_vars} variables, instance wants {vmap.n_vars}"
@@ -179,28 +180,25 @@ def _cmd_stats(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     oracle = _oracle_for(args, layered)
     report = rounding.collect_stats(oracle, layered, args.trials, seed=args.seed)
-    marginals = rounding.edge_marginal_check(oracle, layered, tol=args.tol)
+    # `--tol` is float slack; exact moments are judged exactly, as by certify.
+    tol = 0.0 if oracle.vector.exact else args.tol
+    marginals = rounding.edge_marginal_check(oracle, layered, tol=tol)
     payload = {
         "trials": report.trials,
         "terminals": report.terminals,
         "paths": [
-            {
-                "terminal": p.terminal,
+            asdict(p)
+            | {
                 "path": [f"{t}->{h}" for t, h in p.path],
                 "oracle_value": float(p.oracle_value),
-                "hits": p.hits,
-                "frequency": p.frequency,
-                "se": p.se,
             }
             for p in report.paths
         ],
         "edges": [
-            {
+            asdict(e)
+            | {
                 "edge": f"{e.edge[0]}->{e.edge[1]}",
                 "oracle_value": float(e.oracle_value),
-                "hits": e.hits,
-                "frequency": e.frequency,
-                "se": e.se,
             }
             for e in report.edges
         ],

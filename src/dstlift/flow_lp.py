@@ -184,16 +184,14 @@ class Violation:
     amount: Fraction
 
 
-def check_point(
-    cs: ConstraintSystem, x: Sequence, tol=Fraction(0)
-) -> list[Violation]:
-    """Rows violated by `x` beyond `tol`, with the shortfall b - a.x."""
+def check_point(cs: ConstraintSystem, x: Sequence) -> list[Violation]:
+    """Rows violated by `x`, with the shortfall b - a.x."""
     if len(x) != cs.n_vars:
         raise ValueError(f"point has {len(x)} coordinates, system wants {cs.n_vars}")
     bad = []
     for r in cs.rows:
         lhs = sum(a * x[i] for i, a in r.coeffs.items())
-        if lhs < r.rhs - tol:
+        if lhs < r.rhs:
             bad.append(Violation(r.label, r.rhs - lhs))
     return bad
 

@@ -3,10 +3,13 @@
 Generators produce set-cover shaped instances (root, weighted set nodes,
 free set-to-element edges), a small family with a known fractional gap, and
 random layered graphs where every node keeps a forced parent so terminals
-stay reachable.  `run_pipeline` chains levelize, LP, lift, solve, certify,
-exact reference, and rounding into one report row; `SUITES` lists each
-suite's rows as data, which `run_experiment` runs in order, and
-`ratio_table` renders a gnuplot-friendly table of the result.
+stay reachable.  Paid edges cost an integer drawn from `COST_RANGE`; beyond
+its forced parent, an element joins each set with `MEMBERSHIP_PROB` and a
+layered node takes each other parent with `EXTRA_EDGE_PROB`.
+`run_pipeline` chains levelize, LP, lift, solve, certify, exact reference,
+and rounding into one report row; `SUITES` lists each suite's rows as data,
+which `run_experiment` runs in order, and `ratio_table` renders a
+gnuplot-friendly table of the result.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .instance import (
     map_back,
     verify_solution,
 )
+
+
+COST_RANGE = (1, 9)
+MEMBERSHIP_PROB = 0.4
+EXTRA_EDGE_PROB = 0.35
 
 
 class GenerationError(RuntimeError):
@@ -73,23 +81,17 @@ def set_cover_instance(
     )
 
 
-def gen_set_cover(
-    n_sets: int,
-    n_elements: int,
-    seed: int = 0,
-    cost_range: tuple[int, int] = (1, 9),
-    membership_prob: float = 0.4,
-) -> DstInstance:
+def gen_set_cover(n_sets: int, n_elements: int, seed: int = 0) -> DstInstance:
     """Random set cover; every element gets a forced covering set."""
     if n_sets < 1 or n_elements < 1:
         raise GenerationError("need at least one set and one element")
     rng = random.Random(seed)
-    costs = [rng.randint(*cost_range) for _ in range(n_sets)]
+    costs = [rng.randint(*COST_RANGE) for _ in range(n_sets)]
     memberships: list[set[int]] = [set() for _ in range(n_sets)]
     for j in range(n_elements):
         memberships[rng.randrange(n_sets)].add(j)
         for i in range(n_sets):
-            if rng.random() < membership_prob:
+            if rng.random() < MEMBERSHIP_PROB:
                 memberships[i].add(j)
     return set_cover_instance(costs, memberships)
 
@@ -110,11 +112,7 @@ def gap_instance(k: int) -> DstInstance:
 
 
 def gen_random_layered(
-    ell: int,
-    widths: Sequence[int],
-    seed: int = 0,
-    extra_edge_prob: float = 0.35,
-    cost_range: tuple[int, int] = (1, 9),
+    ell: int, widths: Sequence[int], seed: int = 0
 ) -> DstInstance:
     """Random layered instance: `widths` sizes levels 1..ell, last = terminals.
 
@@ -139,10 +137,10 @@ def gen_random_layered(
             forced = parents[rng.randrange(len(parents))]
             chosen = {forced}
             for parent in parents:
-                if parent != forced and rng.random() < extra_edge_prob:
+                if parent != forced and rng.random() < EXTRA_EDGE_PROB:
                     chosen.add(parent)
             for parent in sorted(chosen):
-                edges.append((parent, node, Fraction(rng.randint(*cost_range))))
+                edges.append((parent, node, Fraction(rng.randint(*COST_RANGE))))
     inst = make_instance(
         [v for layer in levels for v in layer], edges, "r", levels[-1]
     )

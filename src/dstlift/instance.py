@@ -304,17 +304,15 @@ def metric_closure(inst: DstInstance) -> dict[EdgeId, PathRecord]:
     }
 
 
-def shortest_path(inst: DstInstance, target: str, source: str | None = None) -> PathRecord:
-    """Cheapest path from the root (or `source`) to `target`."""
-    source = inst.root if source is None else source
-    nodes = set(inst.nodes)
-    if target not in nodes:
+def shortest_path(inst: DstInstance, target: str) -> PathRecord:
+    """Cheapest path from the root to `target`."""
+    if target not in inst.nodes:
         raise InstanceError(f"unknown node {target!r}")
-    if source == target:
-        return PathRecord(edges=(), start=source, end=target, cost=Fraction(0))
-    hit = _cheapest_from(inst, source).get(target) if source in nodes else None
+    if target == inst.root:
+        return PathRecord(edges=(), start=target, end=target, cost=Fraction(0))
+    hit = _cheapest_from(inst, inst.root).get(target)
     if hit is None:
-        raise InstanceError(f"{target!r} not reachable from {source!r}")
+        raise InstanceError(f"{target!r} not reachable from {inst.root!r}")
     return hit
 
 
@@ -443,8 +441,6 @@ def as_layered(inst: DstInstance) -> LayeredInstance:
     top = {v for v, j in level_of.items() if j == ell}
     if top != set(inst.terminals):
         raise LayeringError("top level must hold exactly the terminals")
-    if any(level_of[s] != ell for s in inst.terminals):
-        raise LayeringError("terminal below top level")
     levels: list[list[str]] = [[] for _ in range(ell + 1)]
     for v, j in level_of.items():
         levels[j].append(v)

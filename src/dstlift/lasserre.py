@@ -207,12 +207,6 @@ class SdpSolution:
     diagnostics: dict
 
 
-def _factor_gram(G: sp.csc_matrix):
-    """Linear solver for the SPD Gram matrix of the block maps."""
-    # G is SPD, so symmetric-mode ordering beats the default by a wide margin
-    return splu(G, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
-
-
 def _project_psd_batch(stack: np.ndarray) -> np.ndarray:
     """Project each `d x d` block of a stack onto the PSD cone; a block that
     is already PSD comes back as its symmetrization, not a reconstruction."""
@@ -306,7 +300,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     scale = max(1.0, float(np.max(np.abs(problem.objective))) if n_free else 1.0)
     c = problem.objective / scale
 
-    solve_gram = _factor_gram((LT @ L).tocsc())
+    # The Gram matrix of the block maps is SPD, so symmetric-mode ordering
+    # beats the default by a wide margin.
+    solve_gram = splu(
+        (LT @ L).tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+    ).solve
 
     # The state is the point p that goes into the projection: z = proj(p)
     # and the scaled dual u = p - z are its Moreau parts.

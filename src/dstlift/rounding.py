@@ -60,11 +60,9 @@ class VectorOracle:
 
     def __init__(self, vector: MomentVector, vmap: VariableMap):
         self.vector = vector
-        self.queries = 0
         self._bit = {e: 1 << vmap.edge_ordinal(e) for e in vmap.edge_list}
 
     def query(self, edges: Iterable[EdgeId]) -> Value:
-        self.queries += 1
         mask = 0
         for e in edges:
             mask |= self._bit[e]

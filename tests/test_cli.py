@@ -326,6 +326,34 @@ def test_stats(diamond_file, diamond_moments, tmp_path, capsys):
     assert lines[1].startswith("s ")
 
 
+def test_stats_out_file_matches_stdout(diamond_file, diamond_moments, tmp_path, capsys):
+    out_file = tmp_path / "stats.json"
+    argv = ["stats", diamond_file, "--moments", diamond_moments, "--trials", "20"]
+    code, out, _ = run_twice(argv + ["--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_bytes() == out.encode()
+
+
+def test_stats_judges_exact_moments_exactly(diamond_file, tmp_path, capsys):
+    """`--tol` is slack for float moment files only: an exact vector whose
+    r->b->s path moment is 1/10**7 short of 3/4 fails its terminal row."""
+    _, vmap = build_flow_lp(as_layered(tiny_diamond()))
+    path = sorted(vmap.edge_ordinal(e) for e in (("r", "b"), ("b", "s")))
+    key = " ".join(map(str, path))
+    lines = []
+    for line in diamond_moments_text().splitlines():
+        if line.split(":", 1)[0].strip() == key:
+            line = f"{key} : {Fraction(3, 4) - Fraction(1, 10**7)}"
+        lines.append(line)
+    moments_file = tmp_path / "short.mv"
+    moments_file.write_text("\n".join(lines) + "\n")
+    argv = ["stats", diamond_file, "--moments", str(moments_file), "--trials", "20"]
+    for tol in ("1e-6", "0"):
+        code, out, _ = run_twice(argv + ["--tol", tol], capsys)
+        assert code == 0
+        assert json.loads(out)["marginals_ok"] is False
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 @pytest.mark.parametrize("command", ["round", "stats"])
 def test_sampling_bytes_are_pinned(command, kind, tmp_path, capsys):

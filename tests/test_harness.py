@@ -1,6 +1,7 @@
 """Generators, canonical JSON, and the end-to-end pipeline."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from dstlift.harness import (
     run_pipeline,
     set_cover_instance,
 )
-from dstlift.instance import as_layered
+from dstlift.instance import as_layered, format_instance
 from dstlift.lasserre import SolverConfig
 
 from conftest import tiny_chain
@@ -88,6 +89,23 @@ def test_gen_random_layered_deterministic_and_layered():
         gen_random_layered(2, [2])
     with pytest.raises(GenerationError):
         gen_random_layered(1, [0])
+
+
+@pytest.mark.parametrize(
+    "golden, make",
+    [
+        ("gen_set_cover_5x4_seed3", lambda: gen_set_cover(5, 4, seed=3)),
+        ("gen_set_cover_12x12_seed0", lambda: gen_set_cover(12, 12, seed=0)),
+        (
+            "gen_random_layered_3_232_seed5",
+            lambda: gen_random_layered(3, [2, 3, 2], seed=5),
+        ),
+    ],
+)
+def test_generator_output_golden(golden, make):
+    """The generators' draws and constants pin every instance byte for byte."""
+    path = Path(__file__).resolve().parent / "golden" / f"{golden}.txt"
+    assert format_instance(make()) == path.read_text()
 
 
 def test_canonical_json_rationals_and_order():

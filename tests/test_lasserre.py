@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dstlift import lasserre
 from dstlift.cli import main
 from dstlift.exact import exact_opt
 from dstlift.flow_lp import ConstraintSystem, Row, build_flow_lp, solve_lp
@@ -329,6 +330,20 @@ def test_full_level_single_route_lift_converges():
     sol = solve(assemble(cs, cs.n_vars), SolverConfig(max_iter=1000))
     assert sol.diagnostics["converged"]
     assert abs(sol.objective - 6.0) <= 1e-5
+
+
+def test_solver_raises_a_small_penalty(monkeypatch):
+    # from a penalty far too small the primal residual dominates, so the
+    # rebalance doubles rho; RHO_START = 1e-2 is already too large for that
+    monkeypatch.setattr(lasserre, "RHO_START", 1.0e-3)
+    _, cs, _ = _layered_lp(tiny_diamond())
+    sol = solve(assemble(cs, 1))
+    d = sol.diagnostics
+    assert d["converged"]
+    assert d["rho_changes"] >= 1 and d["rho_final"] > 1.0e-3
+    assert abs(sol.objective - 3.0) <= 1e-5
+    report = certify(sol.vector, 1, cs.rows, tol=1e-5)
+    assert report.ok, report.issues
 
 
 def test_solver_reaches_an_exact_fixed_point():
