@@ -59,15 +59,14 @@ def _cmd_lift_dim(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     cs, _ = flow_lp.build_flow_lp(layered)
     dims = lasserre.lift_dimensions(cs.n_vars, args.level)
-    budget = lasserre.DEFAULT_BUDGET if args.budget is None else args.budget
     payload = dict(dims)
     payload.update(
         {
             "n_vars": cs.n_vars,
             "n_rows": len(cs.rows),
             "level": args.level,
-            "budget": budget,
-            "within_budget": dims["main_dim"] <= budget,
+            "budget": args.budget,
+            "within_budget": dims["main_dim"] <= args.budget,
         }
     )
     sys.stdout.write(canonical_json(payload))
@@ -85,10 +84,12 @@ def _issues(report: moments.CertifyReport) -> list[dict]:
 def _cmd_lift_solve(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     cs, _ = flow_lp.build_flow_lp(layered)
-    problem = lasserre.assemble(cs, args.level, args.budget)
     if args.replay:
-        solution = lasserre.solve_from_file(problem, Path(args.replay).read_text())
+        lasserre.check_budget(cs.n_vars, args.level, args.budget)
+        text = Path(args.replay).read_text()
+        solution = lasserre.solve_from_file(cs, args.level, text)
     else:
+        problem = lasserre.assemble(cs, args.level, args.budget)
         config = lasserre.SolverConfig(max_iter=args.max_iter, tol=args.tol)
         solution = lasserre.solve(problem, config)
     if args.out:
@@ -180,9 +181,7 @@ def _cmd_stats(args) -> int:
     layered = _load_layered(args.instance, args.ell)
     oracle = _oracle_for(args, layered)
     report = rounding.collect_stats(oracle, layered, args.trials, seed=args.seed)
-    # `--tol` is float slack; exact moments are judged exactly, as by certify.
-    tol = 0.0 if oracle.vector.exact else args.tol
-    marginals = rounding.edge_marginal_check(oracle, layered, tol=tol)
+    marginals = rounding.edge_marginal_check(oracle, layered, tol=args.tol)
     payload = {
         "trials": report.trials,
         "terminals": report.terminals,
@@ -277,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--t", dest="level", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=lasserre.DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_lift_dim)
 
     p = sub.add_parser("lift-solve", help="solve the lifted relaxation")
     p.add_argument("instance")
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--t", dest="level", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=lasserre.DEFAULT_BUDGET)
     p.add_argument("--tol", type=float, default=lasserre.SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=lasserre.SolverConfig.max_iter)
     p.add_argument("--certify-tol", type=float, default=harness.CERTIFY_TOL)
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(harness.SUITES), required=True)
     p.add_argument("--tol", type=float, default=lasserre.SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=lasserre.SolverConfig.max_iter)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=lasserre.DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--tsv", default=None)
     p.set_defaults(fn=_cmd_experiment)

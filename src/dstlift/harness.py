@@ -210,8 +210,8 @@ ROUNDING_SEEDS = (0, 1, 2)
 
 @dataclass
 class PipelineConfig:
-    solver: lasserre.SolverConfig | None = None
-    budget: int | None = None
+    solver: lasserre.SolverConfig = lasserre.SolverConfig()
+    budget: int = lasserre.DEFAULT_BUDGET
     do_round: bool = True
 
 

@@ -66,6 +66,22 @@ def lift_dimensions(n_vars: int, level: int) -> dict[str, int]:
     return {"main_dim": main_dim, "row_dim": row_dim, "n_free": n_free}
 
 
+def check_budget(n_vars: int, level: int, budget: int) -> dict[str, int]:
+    """`lift_dimensions`, raising `BudgetError` when the main block exceeds
+    `budget`: arithmetic only, before anything is enumerated."""
+    dims = lift_dimensions(n_vars, level)
+    if dims["main_dim"] > budget:
+        raise BudgetError(
+            f"main moment matrix is {dims['main_dim']}x{dims['main_dim']} "
+            f"(row blocks {dims['row_dim']}, {dims['n_free']} lifted variables); "
+            f"budget allows {budget}",
+            dims["main_dim"],
+            dims["row_dim"],
+            dims["n_free"],
+        )
+    return dims
+
+
 @dataclass
 class SdpProblem:
     """Assembled lift: the cone is `L @ x + C`, the objective `objective @ x`.
@@ -129,26 +145,14 @@ def _slot_map(
 
 
 def assemble(
-    cs: ConstraintSystem, level: int, budget: int | None = None
+    cs: ConstraintSystem, level: int, budget: int = DEFAULT_BUDGET
 ) -> SdpProblem:
     """Build the level-`level` lift of a constraint system.
 
-    The budget (DEFAULT_BUDGET when None) caps the main block dimension and
-    is checked arithmetically before anything is enumerated.
+    The budget caps the main block dimension; `check_budget` tests it first.
     """
     n = cs.n_vars
-    dims = lift_dimensions(n, level)
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if dims["main_dim"] > cap:
-        raise BudgetError(
-            f"main moment matrix is {dims['main_dim']}x{dims['main_dim']} "
-            f"(row blocks {dims['row_dim']}, {dims['n_free']} lifted variables); "
-            f"budget allows {cap}",
-            dims["main_dim"],
-            dims["row_dim"],
-            dims["n_free"],
-        )
-
+    dims = check_budget(n, level, budget)
     free_sets = tuple(masks_upto(n, min(2 * level + 2, n)))[1:]
     col_of = {m: i for i, m in enumerate(free_sets)}
 
@@ -272,7 +276,7 @@ class _Anderson:
         return f - gamma @ dp - gamma @ dg
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, config: SolverConfig = SolverConfig()) -> SdpSolution:
     """Run ADMM on the assembled lift and return a float moment vector.
 
     The iteration is deterministic; `diagnostics` records residuals, the
@@ -281,10 +285,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     iteration cap.  A cap below one iteration, or a tolerance that is not
     positive and finite, raises `ValueError`.
     """
-    cfg = config or SolverConfig()
-    if cfg.max_iter < 1:
+    if config.max_iter < 1:
         raise ValueError("need at least one iteration")
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+    if not (math.isfinite(config.tol) and config.tol > 0):
         raise ValueError("tol must be positive and finite")
     d1, d0, nblk = problem.main_dim, problem.row_dim, problem.n_row_blocks
     n_free = len(problem.free_sets)
@@ -317,7 +320,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     it = 0
     converged = False
     r_norm = s_norm = float("nan")
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, config.max_iter + 1):
         x = solve_gram(LT @ (2.0 * z - p - C) - c / rho)
         ax = L @ x + C
         f = p + OVER_RELAX * (ax - z)
@@ -330,20 +333,20 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             plain = (x, ax, z, f)
         z_new = project(p_new)
 
-        if it % CHECK_EVERY == 0 or it == cfg.max_iter:
+        if it % CHECK_EVERY == 0 or it == config.max_iter:
             u = p_new - z_new
             r_norm = float(np.linalg.norm(ax - z_new))
             s_norm = float(np.linalg.norm(rho * (LT @ (z_new - z))))
-            eps_pri = cfg.tol * math.sqrt(len(z)) + cfg.tol * max(
+            eps_pri = config.tol * math.sqrt(len(z)) + config.tol * max(
                 float(np.linalg.norm(ax)), float(np.linalg.norm(z_new))
             )
-            eps_dual = cfg.tol * math.sqrt(max(n_free, 1)) + cfg.tol * float(
+            eps_dual = config.tol * math.sqrt(max(n_free, 1)) + config.tol * float(
                 np.linalg.norm(rho * (LT @ u))
             )
             if r_norm <= eps_pri and s_norm <= eps_dual:
                 converged = True
                 break
-            if it % 100 == 0 and it < 0.8 * cfg.max_iter:
+            if it % 100 == 0 and it < 0.8 * config.max_iter:
                 factor = 1.0
                 if r_norm > 10.0 * s_norm and rho < 1.0e6:
                     factor = 2.0
@@ -386,31 +389,28 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     return SdpSolution(vector=vector, objective=objective, diagnostics=diagnostics)
 
 
-def solve_from_file(problem: SdpProblem, text: str) -> SdpSolution:
+def solve_from_file(cs: ConstraintSystem, level: int, text: str) -> SdpSolution:
     """Replay a moment vector from a file instead of running the solver.
 
-    The vector must match the problem's variable count and cover its level;
-    the objective is recomputed from the vector.  Feasibility is up to the
-    caller's certify pass, as with the builtin backend.
+    The vector must match the system's variable count and cover the level;
+    the objective is recomputed from the vector, over the nonzero costs in
+    variable order.  Feasibility is up to the caller's certify pass, as with
+    the builtin backend.
     """
     vector = import_moments(text)
-    if vector.n_vars != problem.n_vars:
+    if vector.n_vars != cs.n_vars:
         raise MomentFormatError(
-            f"file has {vector.n_vars} variables, problem wants {problem.n_vars}"
+            f"file has {vector.n_vars} variables, problem wants {cs.n_vars}"
         )
-    needed = min(2 * problem.level + 2, problem.n_vars)
+    needed = min(2 * level + 2, cs.n_vars)
     if vector.complete_size() < needed:
         raise MomentFormatError(
             f"file vector complete to size {vector.complete_size()}, "
-            f"level {problem.level} wants {needed}"
+            f"level {level} wants {needed}"
         )
     me = vector.entries
     objective = float(
-        sum(
-            float(problem.objective[i]) * float(me[m])
-            for i, m in enumerate(problem.free_sets)
-            if problem.objective[i] != 0
-        )
+        sum(float(c) * float(me[1 << i]) for i, c in enumerate(cs.objective) if c != 0)
     )
     diagnostics = {
         "backend": "file",

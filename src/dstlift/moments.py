@@ -17,6 +17,8 @@ matrices: the certifier builds the block of row g as
 Rational entries are handled exactly: the certifier scales each exact block
 to ints, tests it by fraction-free elimination and gives its witness back as
 a `Fraction`.  Float entries go through numpy with explicit tolerances.
+Every scalar judgment goes through `exceeds`, the one place where a value's
+type decides whether a tolerance applies.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ Value = Union[Fraction, float]
 IndexSet = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class MissingMomentError(LookupError):
@@ -58,6 +59,18 @@ class DecompositionError(ValueError):
 
 class MomentFormatError(ValueError):
     """Raised for malformed moment files."""
+
+
+def exceeds(value: Value, bound: Value, tol: float) -> bool:
+    """Is `value` above `bound`, with slack `tol` for floats only?
+
+    Rationals (`Fraction` or `int`) compare exactly, whatever `tol` is.  With
+    a float on either side the test is `not value <= bound + tol` in floats,
+    so a NaN on either side exceeds.
+    """
+    if isinstance(value, float) or isinstance(bound, float):
+        return not float(value) <= float(bound) + tol
+    return value > bound
 
 
 def masks_upto(n_vars: int, size: int) -> Iterator[int]:
@@ -291,43 +304,21 @@ def from_distribution(
     to 1e-9 for floats) and merges duplicate points.
     """
     merged: dict[tuple[int, ...], Value] = {}
-    any_float = False
     for mass, point in weighted_points:
         key = tuple(int(b) for b in point)
         if any(b not in (0, 1) for b in key):
             raise ValueError(f"bad 0/1 point {point!r}")
-        if isinstance(mass, float):
-            any_float = True
-            if not math.isfinite(mass):
-                raise ValueError(f"non-finite mass {mass}")
+        if isinstance(mass, float) and not math.isfinite(mass):
+            raise ValueError(f"non-finite mass {mass}")
         if mass < 0:
             raise ValueError(f"negative mass {mass}")
         merged[key] = merged.get(key, 0) + mass
     if not merged:
         raise ValueError("empty distribution")
     total = sum(merged.values())
-    if any_float:
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses sum to {total}, expected 1")
-    elif total != 1:
+    if exceeds(abs(total - 1), 0, 1e-9):
         raise ValueError(f"masses sum to {total}, expected 1")
     return from_atoms(merged, level)
-
-
-def _deviation(
-    pairs: Iterable[tuple[Value, Value]], exact: bool, tol: float
-) -> tuple[bool, Value]:
-    """(ok, largest |a - b|) over the pairs.
-
-    Exact values must agree exactly, floats to within `tol`; on a tie the
-    first value is kept.
-    """
-    dev: Value = ZERO if exact else 0.0
-    for a, b in pairs:
-        delta = abs(a - b)
-        if delta > dev:
-            dev = delta
-    return (dev == 0 if exact else dev <= tol), dev
 
 
 def inversion_check(
@@ -335,7 +326,8 @@ def inversion_check(
 ) -> tuple[bool, Value]:
     """Do the conditioned vectors over all splits of `scope` sum back to y?
 
-    Returns (ok, max deviation) over the common restricted domain.
+    Returns (ok, max deviation) over the common restricted domain: the
+    running maximum of |sum - y| from zero.
     """
     s_set = set_of(mask_of(scope))
     parts = [
@@ -343,10 +335,12 @@ def inversion_check(
         for k in range(len(s_set) + 1)
         for ones in itertools.combinations(s_set, k)
     ]
-    pairs = (
-        (sum(p.entries[key] for p in parts), y.entries[key]) for key in parts[0].entries
+    deltas = (
+        abs(sum(p.entries[key] for p in parts) - y.entries[key])
+        for key in parts[0].entries
     )
-    return _deviation(pairs, y.exact, tol)
+    dev = max(itertools.chain([0], deltas))
+    return not exceeds(dev, 0, tol), dev
 
 
 def shift_commutes_check(
@@ -360,15 +354,16 @@ def shift_commutes_check(
     """Conditioning then shifting equals shifting then conditioning.
 
     Compared entrywise on the intersection of the two result domains, which
-    must be nonempty.
+    must be nonempty; returns (ok, max deviation) as `inversion_check` does.
     """
     left = shift(coeffs, rhs, condition(y, ones, scope))
     right = condition(shift(coeffs, rhs, y), ones, scope)
     common = left.entries.keys() & right.entries.keys()
     if not common:
         raise DomainError("no common domain to compare on")
-    pairs = ((left.entries[key], right.entries[key]) for key in common)
-    return _deviation(pairs, left.exact and right.exact, tol)
+    deltas = (abs(left.entries[key] - right.entries[key]) for key in common)
+    dev = max(itertools.chain([0], deltas))
+    return not exceeds(dev, 0, tol), dev
 
 
 @dataclass(frozen=True)
@@ -404,7 +399,7 @@ def decompose(
     offenders = [
         set_of(k)
         for k, v in y.entries.items()
-        if (k & s_mask).bit_count() > drop and (v != 0 if y.exact else abs(v) > tol)
+        if (k & s_mask).bit_count() > drop and exceeds(abs(v), 0, tol)
     ]
     if offenders:
         offenders.sort(key=lambda k: (len(k), k))
@@ -422,8 +417,7 @@ def decompose(
             x_mask = mask_of(ones)
             terms = _signed_subsets(set_of(s_mask & ~x_mask))
             weight = _signed_sum(y, x_mask, terms)
-            small = weight == 0 if y.exact else abs(weight) <= tol
-            if small:
+            if not exceeds(abs(weight), 0, tol):
                 continue
             if weight < 0:
                 raise DecompositionError(
@@ -534,8 +528,11 @@ def certify(
     Verifies normalization, positive semidefiniteness of the main moment
     matrix (one size above the level) and of every row-shifted matrix (at the
     level), set-monotonicity with [0,1] bounds, propagation of exact ones,
-    and the product form when every singleton is integral.  Exact vectors use
-    tolerance zero regardless of `tol`.
+    and the product form when every singleton is integral.  Each scalar check
+    is an `exceeds` test, so `tol` is slack for float entries only and
+    rational entries are judged exactly.  The PSD tests are Bareiss
+    elimination for exact vectors and `eigvalsh` to within `tol` times the
+    largest entry for float ones.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -543,13 +540,12 @@ def certify(
     if y.complete_size() < min(2 * level + 2, n):
         raise DomainError("vector is not complete to the requested level")
     exact = y.exact
-    eps: Value = ZERO if exact else tol
     issues: list[CertifyIssue] = []
     checks: dict[str, int] = {}
 
     norm_gap = abs(y.value(()) - 1)
     checks["normalization"] = 1
-    if norm_gap > eps:
+    if exceeds(norm_gap, 0, tol):
         issues.append(CertifyIssue("normalization", "empty set", norm_gap))
 
     def check_psd(grid, where: str, scale: int = 1) -> None:
@@ -589,14 +585,13 @@ def certify(
     checks["psd_shifted"] = n_rows
 
     # Each set is compared with its parents in ascending order of the
-    # dropped ordinal; exact vectors compare without adding their zero eps.
+    # dropped ordinal.
     me = y.entries
-    low, high = -eps, 1 + eps
     mono = 0
     for key, v in me.items():
-        if v < low:
+        if exceeds(-v, 0, tol):
             issues.append(CertifyIssue("bounds", f"{set_of(key)!r} below zero", -v))
-        if v > high:
+        if exceeds(v, 1, tol):
             issues.append(CertifyIssue("bounds", f"{set_of(key)!r} above one", v - 1))
         rest = key
         while rest:
@@ -606,7 +601,7 @@ def certify(
             if pv is None:
                 continue
             mono += 1
-            if v > (pv if exact else pv + eps):
+            if exceeds(v, pv, tol):
                 issues.append(
                     CertifyIssue(
                         "monotonicity",
@@ -618,12 +613,13 @@ def certify(
 
     # Unions of two sets of size <= min(level + 1, n) pass the completeness check.
     pair_masks = list(masks_upto(n, min(level + 1, n)))
-    one_sets = [k for k in pair_masks if k and abs(me[k] - 1) <= eps][:SPOT_ONES]
+    one_sets = [k for k in pair_masks if k and not exceeds(abs(me[k] - 1), 0, tol)]
+    one_sets = one_sets[:SPOT_ONES]
     others = pair_masks[:SPOT_OTHER]
     for full in one_sets:
         for other in others:
             gap = abs(me[full | other] - me[other])
-            if gap > eps:
+            if exceeds(gap, 0, tol):
                 issues.append(
                     CertifyIssue(
                         "one-propagation",
@@ -635,17 +631,17 @@ def certify(
     checks["one_propagation"] = len(one_sets) * len(others)
 
     singles = [me[1 << i] for i in range(n)]
-    if all(min(abs(v), abs(v - 1)) <= eps for v in singles):
+    if not any(exceeds(min(abs(v), abs(v - 1)), 0, tol) for v in singles):
         prod_checked = 0
         for key, v in me.items():
             if not key:
                 continue
-            prod = ONE if exact else 1.0
+            prod = 1
             for i in set_of(key):
                 prod *= singles[i]
             prod_checked += 1
             gap = abs(v - prod)
-            if gap > eps:
+            if exceeds(gap, 0, tol):
                 issues.append(
                     CertifyIssue("integral-product", f"{set_of(key)!r}", gap)
                 )

@@ -41,7 +41,7 @@ from .instance import (
     verify_solution,
 )
 from .flow_lp import VariableMap
-from .moments import MissingMomentError, MomentVector, Value, set_of
+from .moments import MissingMomentError, MomentVector, Value, exceeds, set_of
 
 DEAD_PATH_TOL = 1.0e-12
 # Uniforms per block in the rounding loops; a trial on the 12-node reference
@@ -487,9 +487,9 @@ def edge_marginal_check(
     Per edge, the total moment of paths ending with it must not exceed the
     edge moment; per terminal, full-path moments must sum to one; per proper
     path prefix, the moments of its full-path extensions must not exceed the
-    prefix moment.  For exact oracles `tol` should stay zero.  Each root
-    path is queried once, by the row of its last edge; the terminal and
-    prefix rows reuse those values.
+    prefix moment.  Every row is an `exceeds` test: `tol` is slack for float
+    moments only.  Each root path is queried once, by the row of its last
+    edge; the terminal and prefix rows reuse those values.
     """
     graph = layered.graph
     paths = root_paths(layered)
@@ -505,7 +505,7 @@ def edge_marginal_check(
                 label=f"edge[{e[0]}->{e[1]}]",
                 value=total,
                 bound=bound,
-                ok=not _greater(total, bound, tol),
+                ok=not exceeds(total, bound, tol),
             )
         )
 
@@ -513,13 +513,12 @@ def edge_marginal_check(
     prefix_rows = []
     for s in graph.terminals:
         total = sum(weight[p] for p in paths[s])
-        deviation = abs(total - 1)
         terminal_rows.append(
             MarginalRow(
                 label=f"terminal[{s}]",
                 value=total,
                 bound=1,
-                ok=deviation <= tol,
+                ok=not exceeds(abs(total - 1), 0, tol),
             )
         )
         # one pass in path order, each sum starting from 0 as `sum` does
@@ -534,7 +533,7 @@ def edge_marginal_check(
                     label=f"prefix[{s}][{prefix!r}]",
                     value=value,
                     bound=bound,
-                    ok=not _greater(value, bound, tol),
+                    ok=not exceeds(value, bound, tol),
                 )
             )
     ok = all(r.ok for r in edge_rows + terminal_rows + prefix_rows)
@@ -556,9 +555,3 @@ def _mean_se(pairs: Collection[tuple[int, int]], n: int) -> tuple[float, float]:
 def _se(freq: float, trials: int) -> float:
     """Binomial standard error of a frequency over `trials` draws."""
     return math.sqrt(max(freq * (1 - freq), 0.0) / trials)
-
-
-def _greater(value, bound, tol: float) -> bool:
-    if tol:
-        return float(value) > float(bound) + tol
-    return value > bound  # exact comparison, no float coercion

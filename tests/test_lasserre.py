@@ -363,7 +363,6 @@ def test_solver_rejects_bad_tolerance(tol):
 
 def test_solve_from_file_replay():
     _, cs, vmap = _layered_lp(tiny_diamond())
-    prob = assemble(cs, 1)
     # route r->b->s with probability 3/4, r->a->s with 1/4
     n = cs.n_vars
     hi = [0] * n
@@ -376,7 +375,7 @@ def test_solve_from_file_replay():
         lo[vmap.flow_ordinal("s", edge)] = 1
     dist = [(Fraction(3, 4), tuple(hi)), (Fraction(1, 4), tuple(lo))]
     y = from_distribution(dist, 1)
-    sol = solve_from_file(prob, export_moments(y))
+    sol = solve_from_file(cs, 1, export_moments(y))
     assert sol.diagnostics["backend"] == "file"
     # expected cost: 3/4 * 3 + 1/4 * 5
     assert sol.objective == pytest.approx(float(Fraction(3, 4) * 3 + Fraction(1, 4) * 5))
@@ -385,12 +384,11 @@ def test_solve_from_file_replay():
 
 def test_solve_from_file_rejects_mismatch():
     _, cs, _ = _layered_lp(tiny_diamond())
-    prob = assemble(cs, 1)
     wrong = from_distribution([(Fraction(1), (1, 0))], 1)
     with pytest.raises(MomentFormatError):
-        solve_from_file(prob, export_moments(wrong))
+        solve_from_file(cs, 1, export_moments(wrong))
     shallow = from_distribution(
         [(Fraction(1), tuple([0] * cs.n_vars))], 0
     )
     with pytest.raises(MomentFormatError):
-        solve_from_file(prob, export_moments(shallow))
+        solve_from_file(cs, 1, export_moments(shallow))

@@ -26,6 +26,7 @@ from dstlift.moments import (
     certify,
     condition,
     decompose,
+    exceeds,
     export_moments,
     from_atoms,
     from_distribution,
@@ -643,3 +644,37 @@ def test_distribution_vectors_always_certify(n, weights, seed):
     assert report.ok, report.issues
     ok, dev = inversion_check(y, (0,))
     assert ok and dev == 0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_rational = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+_tol = st.one_of(st.sampled_from([0.0, 0.5, 1e9]), _finite)
+
+
+@given(_finite, _finite, _finite)
+def test_exceeds_on_floats_is_value_above_bound_plus_tol(value, bound, tol):
+    assert exceeds(value, bound, tol) == (value > bound + tol)
+    assert not exceeds(bound + tol, bound, tol)
+
+
+@given(_rational, _rational, _tol)
+def test_exceeds_on_rationals_ignores_tol(value, bound, tol):
+    assert exceeds(value, bound, tol) == (value > bound)
+    assert exceeds(value, value, tol) is False
+
+
+@given(_rational, _finite, _tol)
+def test_exceeds_with_one_float_side_takes_the_float_rule(rational, x, tol):
+    for value, bound in ((rational, x), (x, rational)):
+        want = float(value) > float(bound) + tol
+        assert exceeds(value, bound, tol) == want
+    assert not exceeds(rational + tol, rational, tol)
+
+
+@given(st.one_of(_rational, _finite, st.just(math.nan)), _tol)
+def test_exceeds_fails_closed_on_nan(other, tol):
+    assert exceeds(math.nan, other, tol)
+    assert exceeds(other, math.nan, tol)

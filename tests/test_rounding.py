@@ -480,9 +480,13 @@ def test_edge_marginal_check_flags_last_edge_deficit():
     assert [r.label for r in bad] == ["edge[b->s]"]
     assert bad[0].value == Fraction(3, 4) and bad[0].bound == Fraction(1, 2)
     assert all(r.ok for r in report.prefix_rows)
-    # the same deficit is inside float tolerance when allowed
+    # tol is slack for floats only: the rational table stays flagged ...
     loose = edge_marginal_check(DictOracle(table), layered, tol=0.3)
-    assert loose.ok
+    assert [r.label for r in loose.edge_rows if not r.ok] == ["edge[b->s]"]
+    # ... while its float copy, with the same 1/4 deficit, passes
+    floats = {q: float(v) for q, v in table.items()}
+    assert not edge_marginal_check(DictOracle(floats), layered, tol=0.0).ok
+    assert edge_marginal_check(DictOracle(floats), layered, tol=0.3).ok
 
 
 def test_edge_marginal_check_flags_prefix_deficit():
